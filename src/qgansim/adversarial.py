@@ -18,15 +18,19 @@ from .discriminator import (
     FastDiscriminator,
     threshold_activation,
 )
-from .generator import GeneratorParams, generate_state, num_params, param_kinds
+from .generator import GeneratorParams, generate_amps, num_params, param_kinds
 from .metrics import fidelity, kl_divergence, trace_distance_pure
-from .statevec import StateVector
+from .statevec import MAX_QUBITS, StateVector
 from .svi import DiscreteDistribution, target_state
 
 # Shift-rule coefficients for controlled rotations, whose score is a
 # trigonometric polynomial in the angle with frequencies 1/2 and 1.
 _CRY_SHIFT_PLUS = (np.sqrt(2.0) + 1.0) / (4.0 * np.sqrt(2.0))
 _CRY_SHIFT_MINUS = (np.sqrt(2.0) - 1.0) / (4.0 * np.sqrt(2.0))
+
+# Initial draws train() makes before it stops waiting for a sign-aligned
+# one; at n <= 7 a run of this many misses has probability below 1e-10.
+_MAX_INIT_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,25 @@ class TrainConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be at least 1")
-        if self.epochs < 1 or self.n_d < 1 or self.n_g < 1:
-            raise ValueError("epochs, n_d and n_g must be at least 1")
-        if self.lr_d <= 0.0 or self.lr_g <= 0.0:
-            raise ValueError("learning rates must be positive")
+        for key in ("n_qubits", "epochs", "n_d", "n_g", "shots", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
+            )
+        for key in ("epochs", "n_d", "n_g"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
         if self.shots < 0:
-            raise ValueError("shots must be nonnegative (0 = exact)")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
+            raise ValueError(f"shots must be nonnegative (0 = exact), got {self.shots}")
+        for key in ("lr_d", "lr_g", "fd_step"):
+            value = getattr(self, key)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if not (real and np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,7 @@ class TrainTrace:
 
 
 def _gen_amps(n: int, thetas: np.ndarray) -> np.ndarray:
-    return generate_state(n, GeneratorParams(thetas)).amps
+    return generate_amps(n, thetas[None, :])[0]
 
 
 def _check_instance(theta, w, target, cfg):
@@ -112,6 +125,29 @@ def _check_instance(theta, w, target, cfg):
 
 def _exact_score(fast, wvec, target_amps, gen_amps) -> float:
     return fast.p_real(wvec, target_amps) - fast.p_real(wvec, gen_amps)
+
+
+def _exact_scores(p_t, p_g):
+    """Score estimator without sampling: p_t - p_g, elementwise."""
+    return np.subtract(p_t, p_g)
+
+
+def _sampled_scores(rng, shots):
+    """Score estimator from `shots` labelling rounds per probability.
+
+    Pairs are sampled in order, the target's rounds before the generated
+    state's, each as one rng.random(shots) draw.
+    """
+
+    def estimate(p_t, p_g):
+        p_t, p_g = np.broadcast_arrays(p_t, p_g)
+        hits = [
+            (rng.random(shots) < a).mean() - (rng.random(shots) < b).mean()
+            for a, b in zip(p_t.flat, p_g.flat)
+        ]
+        return np.reshape(hits, p_t.shape)
+
+    return estimate
 
 
 def score(
@@ -141,33 +177,56 @@ def score_sampled(
     fast = FastDiscriminator(cfg, n)
     p_t = fast.p_real(w.w, target.amps)
     p_g = fast.p_real(w.w, _gen_amps(n, theta.thetas))
-    rng = np.random.default_rng(seed)
-    real_hits = rng.random(shots) < p_t
-    fake_hits = rng.random(shots) < p_g
-    return ScoreValue(float(real_hits.mean() - fake_hits.mean()))
+    estimate = _sampled_scores(np.random.default_rng(seed), shots)
+    return ScoreValue(float(estimate(p_t, p_g)))
 
 
-def _grad_theta_raw(fast, n, thetas, wvec, target_amps) -> np.ndarray:
-    # P(label target Real) is constant in theta and cancels from every
-    # shifted difference, so only the generated term is evaluated.
-    kinds = param_kinds(n)
-    grad = np.empty(thetas.size)
+def _shift_rule(n: int) -> tuple:
+    """Probe offsets (P, d) and weights (d, P) of the per-gate shift rules.
 
-    def p_g(i, delta):
-        probe = thetas.copy()
-        probe[i] += delta
-        return fast.p_real(wvec, _gen_amps(n, probe))
-
+    dS/dtheta = weights @ S(theta + offsets). Plain RY angles use the
+    two-point rule at +-pi/2; CRY angles carry the extra half frequency
+    and use the four-point rule at +-pi/2 and +-3 pi/2. Probes are ordered
+    by parameter, then as listed.
+    """
     half = np.pi / 2.0
-    for i, kind in enumerate(kinds):
-        if kind == "ry":
-            grad[i] = -0.5 * (p_g(i, half) - p_g(i, -half))
-        else:
-            grad[i] = -(
-                _CRY_SHIFT_PLUS * (p_g(i, half) - p_g(i, -half))
-                - _CRY_SHIFT_MINUS * (p_g(i, 3 * half) - p_g(i, -3 * half))
-            )
-    return grad
+    stencils = {
+        "ry": ((half, 0.5), (-half, -0.5)),
+        "cry": (
+            (half, _CRY_SHIFT_PLUS),
+            (-half, -_CRY_SHIFT_PLUS),
+            (3 * half, -_CRY_SHIFT_MINUS),
+            (-3 * half, _CRY_SHIFT_MINUS),
+        ),
+    }
+    kinds = param_kinds(n)
+    rows = [
+        (i, shift, coef)
+        for i, kind in enumerate(kinds)
+        for shift, coef in stencils[kind]
+    ]
+    offsets = np.zeros((len(rows), len(kinds)))
+    weights = np.zeros((len(kinds), len(rows)))
+    for probe, (i, shift, coef) in enumerate(rows):
+        offsets[probe, i] = shift
+        weights[i, probe] = coef
+    return offsets, weights
+
+
+def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, fd_step) -> np.ndarray:
+    # Central differences; the probes w + h e_0, w - h e_0, w + h e_1, ...
+    # are labelled as one batch and estimated in that order.
+    steps = np.kron(np.eye(wvec.size), [[fd_step], [-fd_step]])
+    r = fast.label_probs(wvec + steps)[0]
+    s = estimate(r @ t_probs, r @ g_probs)
+    return (s[0::2] - s[1::2]) / (2.0 * fd_step)
+
+
+def _grad_theta_raw(n, thetas, r, t_probs, estimate, rule) -> np.ndarray:
+    # One batch of shifted generators, all labelled by the same r(w).
+    offsets, weights = rule
+    probes = generate_amps(n, thetas + offsets)
+    return weights @ estimate(t_probs @ r, probes**2 @ r)
 
 
 def grad_theta(
@@ -182,22 +241,9 @@ def grad_theta(
     the extra half frequency and use the four-point rule.
     """
     n = _check_instance(theta, w, target, cfg)
-    fast = FastDiscriminator(cfg, n)
-    return _grad_theta_raw(fast, n, theta.thetas, w.w, target.amps)
-
-
-def _grad_w_raw(fast, wvec, target_amps, gen_amps, fd_step) -> np.ndarray:
-    grad = np.empty(wvec.size)
-    for i in range(wvec.size):
-        up = wvec.copy()
-        up[i] += fd_step
-        down = wvec.copy()
-        down[i] -= fd_step
-        grad[i] = (
-            _exact_score(fast, up, target_amps, gen_amps)
-            - _exact_score(fast, down, target_amps, gen_amps)
-        ) / (2.0 * fd_step)
-    return grad
+    r = FastDiscriminator(cfg, n).label_probs(w.w)[0]
+    t_probs = np.abs(target.amps) ** 2
+    return _grad_theta_raw(n, theta.thetas, r, t_probs, _exact_scores, _shift_rule(n))
 
 
 def grad_w(
@@ -207,16 +253,19 @@ def grad_w(
     cfg: DiscriminatorConfig,
     fd_step: float = 1e-5,
 ) -> np.ndarray:
-    """dS/dw by central finite differences.
+    """dS/dw = (|target|^2 - |generated|^2) @ dr/dw, in closed form.
 
-    Each weight enters many controlled phase gates at different scales,
-    so no small shift-rule stencil is exact; finite differences are.
+    The label probabilities r(w) are a trigonometric polynomial in the
+    weights (see FastDiscriminator), so the exact gradient needs no
+    finite differences. `fd_step` is still validated for callers that
+    pass it; only sampled training takes finite differences.
     """
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
+    if not (np.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError("fd_step must be positive and finite")
     n = _check_instance(theta, w, target, cfg)
-    fast = FastDiscriminator(cfg, n)
-    return _grad_w_raw(fast, w.w, target.amps, _gen_amps(n, theta.thetas), fd_step)
+    jac = FastDiscriminator(cfg, n).label_probs(w.w)[1]
+    gen_probs = _gen_amps(n, theta.thetas) ** 2
+    return (np.abs(target.amps) ** 2 - gen_probs) @ jac
 
 
 def minmax_gap(
@@ -234,9 +283,9 @@ def minmax_gap(
     if grid.ndim != 2 or grid.shape[1] != target.num_qubits:
         raise ValueError(f"w_grid must have shape (k, {target.num_qubits})")
     n = target.num_qubits
-    fast = FastDiscriminator(cfg, n)
-    gen = _gen_amps(n, theta.thetas)
-    return max(_exact_score(fast, row, target.amps, gen) for row in grid)
+    r = FastDiscriminator(cfg, n).label_probs(grid)[0]
+    delta = np.abs(target.amps) ** 2 - _gen_amps(n, theta.thetas) ** 2
+    return float(np.max(r @ delta))
 
 
 def training_discriminator(n: int) -> DiscriminatorConfig:
@@ -270,13 +319,17 @@ def train(
     shots > 0) come from one seeded generator in a fixed order, so equal
     seeds give bitwise-equal traces.
 
-    Angles start at a uniform draw from [0, pi] that is resampled until
-    every generated amplitude is nonnegative like the target's. The
-    label probability is blind to amplitude signs (the discriminator
-    never mixes data basis states), so a sign mismatch could never be
-    trained away; starting aligned keeps the fidelity target reachable.
-    At n = 2 the first draw always qualifies; with the mixing layer
-    present a draw qualifies about one time in ten.
+    Angles start at a uniform draw from [0, pi] that is resampled, one
+    draw at a time, until every generated amplitude is nonnegative like
+    the target's. The label probability is blind to amplitude signs (the
+    discriminator never mixes data basis states), so a sign mismatch
+    could never be trained away; starting aligned keeps the fidelity
+    target reachable. At n = 2 the first draw always qualifies; with the
+    mixing layer present the share of qualifying draws falls from about
+    one in three at n = 3 to about one in 400 at n = 7, and to none seen
+    at n = 8. After _MAX_INIT_DRAWS draws the last one is kept with its
+    mixing-layer angles set to 0: the remaining RY/CRY cascade on angles
+    in [0, pi] has only nonnegative amplitudes.
 
     When an ascent phase ends without a separating witness (score not
     above zero), the next phase starts from a fresh uniform weight draw
@@ -286,6 +339,12 @@ def train(
     trap whenever any separating weights exist. Once the distributions
     match, no weights separate them, so restarts fire every epoch and
     change nothing.
+
+    Scores inside the game come from one estimator: exact, or with
+    shots > 0 the mean of `shots` Bernoulli labelling rounds per
+    probability. The exact weight gradient is analytic; sampled scores
+    have no derivative, so the sampled weight gradient takes central
+    differences of step fd_step.
     """
     n = cfg.n_qubits
     if target.n_qubits != n:
@@ -297,8 +356,13 @@ def train(
     fast = FastDiscriminator(disc, n)
     rng = np.random.default_rng(cfg.seed)
     thetas = rng.uniform(0.0, np.pi, num_params(n))
-    while (_gen_amps(n, thetas).real < -1e-12).any():
+    draws = 1
+    while (_gen_amps(n, thetas) < -1e-12).any():
+        if draws == _MAX_INIT_DRAWS:
+            thetas[2 * n - 1 :] = 0.0
+            break
         thetas = rng.uniform(0.0, np.pi, num_params(n))
+        draws += 1
     if theta_init is not None:
         thetas = np.array(theta_init, dtype=float)
         if thetas.size != num_params(n):
@@ -309,16 +373,9 @@ def train(
 
     target_sv = target_state(target)
     t_amps = target_sv.amps
-
-    def sampled(exact_p: float) -> float:
-        return float((rng.random(cfg.shots) < exact_p).mean())
-
-    def score_of(wv, gen) -> float:
-        p_t = fast.p_real(wv, t_amps)
-        p_g = fast.p_real(wv, gen)
-        if cfg.shots == 0:
-            return p_t - p_g
-        return sampled(p_t) - sampled(p_g)
+    t_probs = np.abs(t_amps) ** 2
+    estimate = _exact_scores if cfg.shots == 0 else _sampled_scores(rng, cfg.shots)
+    rule = _shift_rule(n)
 
     e = cfg.epochs
     scores = np.empty(e)
@@ -328,49 +385,28 @@ def train(
     theta_rows = np.empty((e, thetas.size))
     w_rows = np.empty((e, n))
 
+    gen = _gen_amps(n, thetas)
     needs_restart = False
     for epoch in range(e):
-        gen = _gen_amps(n, thetas)
+        gen_probs = gen**2
         if needs_restart:
             wvec = rng.uniform(-1.0, 1.0, n)
         for _ in range(cfg.n_d):
             if cfg.shots == 0:
-                gw = _grad_w_raw(fast, wvec, t_amps, gen, cfg.fd_step)
+                gw = (t_probs - gen_probs) @ fast.label_probs(wvec)[1]
             else:
-                gw = np.empty(n)
-                for i in range(n):
-                    up = wvec.copy()
-                    up[i] += cfg.fd_step
-                    down = wvec.copy()
-                    down[i] -= cfg.fd_step
-                    gw[i] = (score_of(up, gen) - score_of(down, gen)) / (
-                        2.0 * cfg.fd_step
-                    )
+                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, cfg.fd_step)
             wvec = np.clip(wvec + cfg.lr_d * gw, -1.0, 1.0)
-        needs_restart = score_of(wvec, gen) <= 0.0
+        r = fast.label_probs(wvec)[0]
+        needs_restart = estimate(t_probs @ r, gen_probs @ r) <= 0.0
         for _ in range(cfg.n_g):
-            if cfg.shots == 0:
-                gt = _grad_theta_raw(fast, n, thetas, wvec, t_amps)
-            else:
-                kinds = param_kinds(n)
-                gt = np.empty(thetas.size)
-                half = np.pi / 2.0
-                for i, kind in enumerate(kinds):
-                    def s_at(delta):
-                        probe = thetas.copy()
-                        probe[i] += delta
-                        return score_of(wvec, _gen_amps(n, probe))
+            thetas = thetas - cfg.lr_g * _grad_theta_raw(
+                n, thetas, r, t_probs, estimate, rule
+            )
 
-                    if kind == "ry":
-                        gt[i] = 0.5 * (s_at(half) - s_at(-half))
-                    else:
-                        gt[i] = _CRY_SHIFT_PLUS * (
-                            s_at(half) - s_at(-half)
-                        ) - _CRY_SHIFT_MINUS * (s_at(3 * half) - s_at(-3 * half))
-            thetas = thetas - cfg.lr_g * gt
-
-        gen_sv = StateVector(n, _gen_amps(n, thetas))
-        scores[epoch] = _exact_score(fast, wvec, t_amps, gen_sv.amps)
+        gen = _gen_amps(n, thetas)
+        gen_sv = StateVector(n, gen)
+        scores[epoch] = _exact_score(fast, wvec, t_amps, gen)
         fids[epoch] = fidelity(target_sv, gen_sv)
         kls[epoch] = kl_divergence(target, gen_sv)
         tds[epoch] = trace_distance_pure(target_sv, gen_sv)

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adversarial import TrainConfig, train
+from .adversarial import TrainConfig, train, training_discriminator
 from .discriminator import DiscriminatorConfig, threshold_activation
 from .fourier import qft
 from .generator import GeneratorParams, generate_state
@@ -100,9 +100,12 @@ def _discriminator(raw: dict, n: int) -> DiscriminatorConfig | None:
     section = raw.get("discriminator")
     if section is None:
         return None
-    m1 = int(section.get("m1", 2))
-    m2 = int(section.get("m2", DiscriminatorConfig.for_width(n).m2))
-    act = _activation(section.get("activation", "sigmoid"), m1, m2)
+    # Missing keys fall back to train()'s own discriminator, whose
+    # activation is the threshold one.
+    default = training_discriminator(n)
+    m1 = int(section.get("m1", default.m1))
+    m2 = int(section.get("m2", default.m2))
+    act = _activation(section.get("activation", "threshold"), m1, m2)
     try:
         return DiscriminatorConfig(m1=m1, m2=m2, activation=act)
     except ValueError as exc:

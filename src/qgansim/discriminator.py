@@ -117,12 +117,22 @@ def label_real_probability(
 
 
 class FastDiscriminator:
-    """Vectorized evaluator computing the same label probability.
+    """Closed-form evaluator of the same label probability.
 
-    The circuit's structure is fixed per (cfg, n): the weight-dependent
-    part is one diagonal phase profile, everything else is precomputed.
-    Used by the trainer, where the circuit would be rebuilt per gradient
-    probe; agreement with the circuit path is covered by tests.
+    Every gate on the data register is diagonal, so basis state x is
+    labelled on its own: p_real(w, a) = sum_x |a_x|^2 r_x(w). The inner
+    product register estimates t_x = bits_x . w / 2 and holds outcome b
+    with the Fejer weight |1/N sum_a e^(2 i pi a (t - b) / N)|^2, N = 2^m2
+    (Cleve et al., quant-ph/9708016); the activation stage then reads
+    Real with a fixed probability c_b. Summing over b, r_x is the
+    N-periodic trigonometric polynomial
+
+        r(t) = a0 + sum_{k=1}^{N-1} alpha_k cos(2 pi k t / N)
+                                   + beta_k sin(2 pi k t / N),
+
+    whose coefficients depend only on (cfg, n) and are computed here.
+    Agreement with the circuit (label_real_probability) is covered by
+    tests.
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
@@ -138,31 +148,43 @@ class FastDiscriminator:
         self._bits = (
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
         ).astype(np.float64)
-        self._anc = np.arange(2**m2, dtype=np.float64)[:, None]
-        self._iqft2 = qft_matrix(m2).conj().T
-        self._iqft1 = qft_matrix(m1).conj().T
         sigma = np.array(
             [float(cfg.activation.fn(signed_decode(r, m2))) for r in range(2**m2)]
         )
         if np.any(sigma < 0.0) or np.any(sigma >= 1.0):
             raise ValueError("activation values must lie in [0, 1)")
-        # Phase accumulated by activation estimation: ancilla value times sigma.
-        self._act_phase = np.exp(
-            2j * np.pi * np.arange(2**m1)[:, None] * sigma[None, :]
-        )
+        # Activation estimation of sigma_b on the m1 register, then the
+        # probability c_b that its most significant qubit reads 1.
+        act = np.exp(2j * np.pi * np.arange(2**m1)[:, None] * sigma[None, :])
+        act = qft_matrix(m1).conj().T @ act / np.sqrt(2.0**m1)
+        readout = np.sum(np.abs(act[2 ** (m1 - 1) :]) ** 2, axis=0)
+        # The Fejer weight is (1/N^2) sum_{|k|<N} (N - |k|) e^(2 i pi k (t - b) / N);
+        # pairing k with -k leaves the real series above.
+        size = 2**m2
+        k = np.arange(1, size)
+        self._freq = 2.0 * np.pi * k / size
+        angle = self._freq[:, None] * np.arange(size)[None, :]
+        weight = 2.0 * (size - k) / size**2
+        self._a0 = float(readout.sum()) / size
+        self._alpha = weight * (np.cos(angle) @ readout)
+        self._beta = weight * (np.sin(angle) @ readout)
+
+    def label_probs(self, w: np.ndarray) -> tuple:
+        """Label probabilities r(w) of the data basis states and their Jacobian.
+
+        `w` holds one weight vector (shape (n,)) or a batch of them
+        (shape (..., n)). Returns r with shape (..., 2^n), where r[..., x]
+        is P(label Real | basis state x), and dr/dw with shape
+        (..., 2^n, n).
+        """
+        # Phase value per basis state: bits enter at half scale (p = 1).
+        t = (np.asarray(w, dtype=np.float64) @ self._bits.T) / 2.0
+        phase = t[..., None] * self._freq
+        cos, sin = np.cos(phase), np.sin(phase)
+        r = self._a0 + cos @ self._alpha + sin @ self._beta
+        slope = cos @ (self._freq * self._beta) - sin @ (self._freq * self._alpha)
+        return r, slope[..., None] * self._bits / 2.0
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
-        m1, m2 = self.cfg.m1, self.cfg.m2
-        # Phase value per basis state: bits enter at half scale (p = 1).
-        t = self._bits @ (np.asarray(w, dtype=np.float64) / 2.0)
-        # After H's on the m2 register, each ancilla value a tags phase
-        # e^(2 i pi a t / 2^m2); then the register is Fourier-inverted.
-        psi = np.exp(2j * np.pi * self._anc * t[None, :] / 2**m2)
-        psi *= data_amps[None, :] / np.sqrt(2.0**m2)
-        psi = self._iqft2 @ psi
-        # H's on the m1 register spread psi evenly; the controlled powers
-        # multiply by the activation phase profile, then invert again.
-        psi = psi[None, :, :] * self._act_phase[:, :, None] / np.sqrt(2.0**m1)
-        psi = self._iqft1 @ psi.reshape(2**m1, -1)
-        half = 2 ** (m1 - 1)
-        return float(np.sum(np.abs(psi[half:, :]) ** 2))
+        """P(label Real) for the data register in state `data_amps`."""
+        return float(np.abs(data_amps) ** 2 @ self.label_probs(w)[0])

@@ -149,6 +149,43 @@ def generate_state(n: int, params: GeneratorParams) -> StateVector:
     return run_circuit(build_parametric_circuit(n, params), basis_ket(n, 0))
 
 
+def generate_amps(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Real amplitudes of the ansatz for a batch of angle sets.
+
+    `thetas` has shape (B, num_params(n)); the result has shape (B, 2^n)
+    and row i equals generate_state(n, GeneratorParams(thetas[i])).amps.
+    Each stage k grows the state by its still-|0> target qubit k-1: the
+    CRY pair rotates it by the first angle where qubit k-2 is 1 and by
+    the second where it is 0 (the X sandwich). The mixing RYs then act on
+    reshaped slices of the full state.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 2 or thetas.shape[1] != num_params(n):
+        raise ValueError(
+            f"ansatz for n = {n} needs angle sets of shape (B, {num_params(n)}), "
+            f"got {thetas.shape}"
+        )
+    cos, sin = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    batch = thetas.shape[0]
+    amps = np.stack([cos[:, 0], sin[:, 0]], axis=1)
+    for k in range(2, n + 1):
+        # Angle columns of the pair in control order (0, 1).
+        pair = [2 * k - 2, 2 * k - 3]
+        pairs = amps.reshape(batch, -1, 2)
+        rotated = np.stack(
+            [pairs * cos[:, None, pair], pairs * sin[:, None, pair]], axis=-1
+        )
+        amps = rotated.reshape(batch, -1)
+    for j in range(n - 2):
+        c = cos[:, 2 * n - 1 + j, None, None]
+        s = sin[:, 2 * n - 1 + j, None, None]
+        view = amps.reshape(batch, 2 ** (j + 2), 2, -1)
+        zero, one = view[:, :, 0, :], view[:, :, 1, :]
+        amps = np.stack([c * zero - s * one, s * zero + c * one], axis=2)
+        amps = amps.reshape(batch, -1)
+    return amps
+
+
 def exact_params_2q(target: DiscreteDistribution) -> GeneratorParams:
     """Ansatz parameters reproducing any 2-qubit target exactly.
 

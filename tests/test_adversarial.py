@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qgansim import adversarial
 from qgansim.adversarial import (
     ScoreValue,
     TrainConfig,
@@ -24,7 +25,7 @@ from qgansim.discriminator import (
     FastDiscriminator,
 )
 from qgansim.generator import GeneratorParams, generate_state, num_params
-from qgansim.statevec import StateVector, basis_ket
+from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 from qgansim.svi import DiscreteDistribution
 
 
@@ -255,3 +256,77 @@ def test_short_training_run_improves_fidelity():
     trace = train(cfg, target, disc=training_discriminator(2))
     assert trace.fidelities[-1] > trace.fidelities[0]
     assert trace.fidelities[-1] > 0.9
+
+
+def test_weight_gradient_matches_finite_difference_formula():
+    # The closed-form gradient against central differences of the exact
+    # score at step 1e-5, the formula it replaced.
+    rng = np.random.default_rng(58)
+    h = 1e-5
+    for n in (1, 2, 3, 4):
+        _, theta, w, target = random_instance(rng, n)
+        cfg = training_discriminator(n)
+        grad = grad_w(theta, w, target, cfg)
+        for i in range(n):
+            up, down = w.w.copy(), w.w.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (
+                float(score(theta, DiscriminatorWeights(up), target, cfg))
+                - float(score(theta, DiscriminatorWeights(down), target, cfg))
+            ) / (2.0 * h)
+            assert abs(grad[i] - fd) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_qubits", 0),
+        ("n_qubits", MAX_QUBITS + 1),
+        ("n_qubits", 2.5),
+        ("epochs", 1.5),
+        ("shots", 0.5),
+        ("seed", 0.5),
+        ("epochs", 0),
+        ("n_d", 0),
+        ("n_g", 0),
+        ("lr_d", 0.0),
+        ("lr_d", float("nan")),
+        ("lr_d", float("inf")),
+        ("lr_g", float("nan")),
+        ("lr_g", float("inf")),
+        ("fd_step", float("nan")),
+        ("fd_step", float("inf")),
+        ("fd_step", "1e-5"),
+        ("shots", -1),
+    ],
+)
+def test_train_config_names_the_rejected_key(key, value):
+    kwargs = {"n_qubits": 2, "epochs": 1, key: value}
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**kwargs)
+
+
+def test_train_at_eight_qubits_starts_sign_aligned():
+    # Sign-aligned draws are rare at n = 8; the initial draw is capped.
+    n = 8
+    masses = np.ones(2**n) / 2**n
+    cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, seed=0)
+    trace = train(cfg, DiscreteDistribution(n, masses))
+    state = generate_state(n, GeneratorParams(trace.thetas[0]))
+    assert np.min(state.amps.real) >= -1e-12
+
+
+def test_train_falls_back_to_the_cascade_after_the_draw_cap(monkeypatch):
+    # Seed 1 at n = 4 has a mixed-sign first draw, so a cap of one draw
+    # keeps it with the mixing layer switched off.
+    n = 4
+    masses = np.ones(2**n) / 2**n
+    cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, seed=1)
+    first = np.random.default_rng(1).uniform(0.0, np.pi, num_params(n))
+    assert np.min(generate_state(n, GeneratorParams(first)).amps.real) < 0.0
+    monkeypatch.setattr(adversarial, "_MAX_INIT_DRAWS", 1)
+    start = train(cfg, DiscreteDistribution(n, masses)).thetas[0]
+    assert_allclose(start[: 2 * n - 1], first[: 2 * n - 1], atol=1e-9)
+    assert_allclose(start[2 * n - 1 :], 0.0, atol=1e-9)
+    assert np.min(generate_state(n, GeneratorParams(start)).amps.real) >= -1e-12

@@ -87,6 +87,7 @@ def _small_train_config(tmp_path, **extra):
         "seed": 4,
     }
     payload.update(extra)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     return write_config(tmp_path / "train.json.cfg", payload)
 
 
@@ -146,6 +147,28 @@ def test_train_accepts_discriminator_section(runner, tmp_path):
     )
     result = runner.invoke(main, ["train", "--config", cfg, "--out-dir", str(tmp_path)])
     assert result.exit_code == 0, result.output
+
+
+def test_empty_discriminator_section_trains_like_the_default(runner, tmp_path):
+    # Missing discriminator keys fall back to train()'s own discriminator.
+    runs = {"omitted": {}, "empty": {"discriminator": {}}}
+    for name, extra in runs.items():
+        cfg = _small_train_config(tmp_path / name, n_qubits=3, **extra)
+        res = runner.invoke(main, ["train", "--config", cfg, "--out-dir", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+    for artifact in ("trace.csv", "train.json"):
+        omitted = (tmp_path / "omitted" / artifact).read_bytes()
+        assert (tmp_path / "empty" / artifact).read_bytes() == omitted
+
+
+@pytest.mark.parametrize(
+    "key, value", [("lr_d", float("nan")), ("lr_g", float("inf")), ("fd_step", float("nan"))]
+)
+def test_non_finite_rate_is_a_usage_error_naming_the_key(runner, tmp_path, key, value):
+    cfg = _small_train_config(tmp_path, **{key: value})
+    result = runner.invoke(main, ["train", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert key in combined(result)
 
 
 def test_bad_activation_name_is_a_usage_error(runner, tmp_path):

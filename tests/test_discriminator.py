@@ -1,6 +1,6 @@
-"""Perceptron discriminator: circuit vs vectorized evaluator, the label
-law on a 1-bit activation register, sign blindness, and the mid-cell
-threshold activation."""
+"""Perceptron discriminator: circuit vs closed-form evaluator (label
+probabilities and their Jacobian), the label law on a 1-bit activation
+register, sign blindness, and the mid-cell threshold activation."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from qgansim.discriminator import (
     label_real_probability,
     threshold_activation,
 )
+from qgansim.qneuron import custom_activation, sigmoid_activation
 from qgansim.statevec import StateVector, basis_ket
 
 
@@ -170,3 +171,71 @@ def test_fast_evaluator_rejects_bad_activation_range():
             ),
             2,
         )
+
+
+def _activations(m1, m2):
+    # The scaled identity maps negative decoded products below 0, so it is
+    # shifted by the register range to land in [0, 1).
+    return (
+        sigmoid_activation(),
+        threshold_activation(m1, 2.0**m2),
+        custom_activation(lambda t: (t + 2.0**m2) / 2.0 ** (m2 + 1)),
+    )
+
+
+def test_label_probs_match_circuit_on_basis_states():
+    rng = np.random.default_rng(36)
+    for n in range(1, 6):
+        m2 = DiscriminatorConfig.for_width(n).m2
+        # Every basis state up to n = 3, a sample of them beyond.
+        xs = range(2**n) if n <= 3 else rng.choice(2**n, 3, replace=False)
+        for m1 in (1, 2, 3):
+            for act in _activations(m1, m2):
+                cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
+                w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
+                r, _ = FastDiscriminator(cfg, n).label_probs(w.w)
+                assert r.shape == (2**n,)
+                for x in xs:
+                    ref = label_real_probability(w, cfg, basis_ket(n, int(x)))
+                    assert abs(r[x] - ref) <= 1e-12
+
+
+def test_label_probs_jacobian_matches_central_differences():
+    rng = np.random.default_rng(37)
+    h = 1e-6
+    for n in range(1, 6):
+        m2 = DiscriminatorConfig.for_width(n).m2 + 1
+        for act in _activations(2, m2):
+            fast = FastDiscriminator(DiscriminatorConfig(m1=2, m2=m2, activation=act), n)
+            w = rng.uniform(-1.0, 1.0, n)
+            r, jac = fast.label_probs(w)
+            assert jac.shape == (2**n, n)
+            for j in range(n):
+                step = h * np.eye(n)[j]
+                fd = (fast.label_probs(w + step)[0] - fast.label_probs(w - step)[0]) / (2 * h)
+                assert_allclose(jac[:, j], fd, atol=1e-8)
+
+
+def test_label_probs_take_a_batch_of_weights():
+    rng = np.random.default_rng(38)
+    fast = FastDiscriminator(
+        DiscriminatorConfig(m1=2, m2=4, activation=threshold_activation(2, 16.0)), 4
+    )
+    grid = rng.uniform(-1.0, 1.0, (5, 4))
+    r, jac = fast.label_probs(grid)
+    assert r.shape == (5, 16) and jac.shape == (5, 16, 4)
+    for row, w in enumerate(grid):
+        one_r, one_jac = fast.label_probs(w)
+        assert_allclose(r[row], one_r, rtol=0, atol=1e-15)
+        assert_allclose(jac[row], one_jac, rtol=0, atol=1e-15)
+
+
+def test_p_real_is_born_weighted_label_probs():
+    rng = np.random.default_rng(39)
+    for n, m1 in [(1, 1), (3, 2), (5, 3)]:
+        cfg = DiscriminatorConfig(m1=m1, m2=DiscriminatorConfig.for_width(n).m2)
+        fast = FastDiscriminator(cfg, n)
+        w = rng.uniform(-1.0, 1.0, n)
+        amps = random_state(rng, n).amps
+        expected = np.abs(amps) ** 2 @ fast.label_probs(w)[0]
+        assert abs(fast.p_real(w, amps) - expected) <= 1e-15

@@ -1,5 +1,5 @@
-"""Generator constructions: the exact conditional-Bernoulli loader and
-the truncated parametric ansatz."""
+"""Generator constructions: the exact conditional-Bernoulli loader, the
+truncated parametric ansatz, and its batched real-amplitude evaluator."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from qgansim.generator import (
     build_parametric_circuit,
     exact_angles,
     exact_params_2q,
+    generate_amps,
     generate_state,
     num_params,
     param_kinds,
@@ -123,3 +124,21 @@ def test_random_simplex_targets_load_exactly(seed):
     target = random_target(rng, n)
     state = load_exact(target)
     assert 0.5 * np.abs(state.probabilities() - target.masses).sum() < 1e-9
+
+
+def test_generate_amps_matches_circuit_on_a_batch():
+    rng = np.random.default_rng(71)
+    for n in range(1, 9):
+        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (6, num_params(n)))
+        amps = generate_amps(n, thetas)
+        assert amps.shape == (6, 2**n) and amps.dtype == np.float64
+        for row, angles in enumerate(thetas):
+            ref = generate_state(n, GeneratorParams(angles)).amps
+            assert np.max(np.abs(amps[row] - ref)) <= 1e-12
+
+
+def test_generate_amps_rejects_wrong_shapes():
+    with pytest.raises(ValueError):
+        generate_amps(3, np.zeros(num_params(3)))
+    with pytest.raises(ValueError):
+        generate_amps(3, np.zeros((2, num_params(3) + 1)))
