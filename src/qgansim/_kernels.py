@@ -1,111 +1,64 @@
-"""Gate-application kernels with two interchangeable backends.
+"""The gate-application kernel: numpy operations on views of the amplitudes.
 
-Both backends operate in place on a flat complex128 amplitude array and
-compute the same linear algebra:
+Both functions work in place on a flat, contiguous complex128 amplitude
+array of an n-qubit register, so that its reshapes are views. Reshaped to
+``(2,) * n``, axis q of that array is qubit q (qubit 0 is the most
+significant bit of the basis index). A control is applied by fixing its
+axis at 1 with ``slice(1, 2)``, so every selection stays a view of the
+caller's array and nothing is gathered or scattered.
 
-* a numba-jitted backend (default when numba is importable), and
-* a pure-numpy backend, selected by setting ``QGANSIM_NO_NUMBA=1`` in the
-  environment or used automatically when numba is missing.
-
-A k-qubit gate touching target bit positions ``tshifts`` (bit significances,
-so position 0 is the least significant bit of the basis index) is applied by
-enumerating every "representative" index whose target bits are all zero,
-keeping those whose control bits are all one, and transforming the 2^k
-amplitudes of each group with the gate matrix. ``offsets[g]`` is the index
-offset of gate-basis state g relative to the representative.
+Arguments, in order: the amplitudes, the gate (matrix or diagonal), the
+target qubits in gate order (``targets[0]`` is the most significant bit of
+the gate's own basis index), the register width n, and the control bitmask
+``cmask`` (bit significance n - 1 - c for control qubit c).
 """
 
-import os
+import itertools
 
 import numpy as np
 
-try:
-    from numba import njit
+BACKEND = "numpy"
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("QGANSIM_NO_NUMBA", "0") != "1"
+# A dense gate is applied to sub-views of at most 2^_BLOCK_QUBITS amplitudes
+# (256 KiB), so that its block copy and product stay in cache: on a 20-qubit
+# register this halves the time of a 1-qubit gate against one whole-state pass.
+_BLOCK_QUBITS = 14
 
 
-def _np_expand(reps, tshifts_asc):
-    # Insert a zero bit at each target position, ascending order required.
-    for s in tshifts_asc:
-        low = reps & ((1 << s) - 1)
-        reps = ((reps >> s) << (s + 1)) | low
-    return reps
+def _view_index(n, cmask):
+    # One slice per qubit axis, with every control axis fixed at 1.
+    index = [slice(None)] * n
+    while cmask:
+        low = cmask & -cmask
+        index[n - low.bit_length()] = slice(1, 2)
+        cmask ^= low
+    return index
 
 
-def np_apply_dense(amps, mat, tshifts_asc, offsets, cmask):
-    k = len(tshifts_asc)
-    reps = np.arange(amps.size >> k, dtype=np.int64)
-    reps = _np_expand(reps, tshifts_asc)
-    if cmask:
-        reps = reps[(reps & cmask) == cmask]
-    if reps.size == 0:
-        return
-    idx = reps[None, :] + offsets[:, None]
-    amps[idx] = mat @ amps[idx]
+def apply_dense(amps, mat, targets, n, cmask):
+    """Apply the 2^k x 2^k matrix `mat` to the k target qubits."""
+    view = amps.reshape((2,) * n)
+    index = _view_index(n, cmask)
+    k = len(targets)
+    free = [q for q in range(n) if index[q] == slice(None) and q not in targets]
+    # Fix the most significant free qubits, one sub-view per assignment.
+    outer = free[: max(0, len(free) + k - _BLOCK_QUBITS)]
+    for bits in itertools.product((0, 1), repeat=len(outer)):
+        for q, bit in zip(outer, bits):
+            index[q] = slice(bit, bit + 1)
+        block = np.moveaxis(view[tuple(index)], targets, range(k))
+        block[...] = (mat @ block.reshape(len(mat), -1)).reshape(block.shape)
 
 
-def np_apply_diag(amps, diag, tshifts_asc, offsets, cmask):
-    k = len(tshifts_asc)
-    reps = np.arange(amps.size >> k, dtype=np.int64)
-    reps = _np_expand(reps, tshifts_asc)
-    if cmask:
-        reps = reps[(reps & cmask) == cmask]
-    if reps.size == 0:
-        return
-    idx = reps[None, :] + offsets[:, None]
-    amps[idx] *= diag[:, None]
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def nb_apply_dense(amps, mat, tshifts_asc, offsets, cmask):
-        k = tshifts_asc.size
-        dim = offsets.size
-        buf = np.empty(dim, np.complex128)
-        out = np.empty(dim, np.complex128)
-        for r in range(amps.size >> k):
-            x = r
-            for i in range(k):
-                s = tshifts_asc[i]
-                low = x & ((1 << s) - 1)
-                x = ((x >> s) << (s + 1)) | low
-            if (x & cmask) == cmask:
-                for g in range(dim):
-                    buf[g] = amps[x + offsets[g]]
-                for row in range(dim):
-                    acc = 0.0 + 0.0j
-                    for col in range(dim):
-                        acc += mat[row, col] * buf[col]
-                    out[row] = acc
-                for g in range(dim):
-                    amps[x + offsets[g]] = out[g]
-
-    @njit(cache=True)
-    def nb_apply_diag(amps, diag, tshifts_asc, offsets, cmask):
-        k = tshifts_asc.size
-        dim = offsets.size
-        for r in range(amps.size >> k):
-            x = r
-            for i in range(k):
-                s = tshifts_asc[i]
-                low = x & ((1 << s) - 1)
-                x = ((x >> s) << (s + 1)) | low
-            if (x & cmask) == cmask:
-                for g in range(dim):
-                    amps[x + offsets[g]] *= diag[g]
-
-
-if USE_NUMBA:
-    apply_dense = nb_apply_dense
-    apply_diag = nb_apply_diag
-    BACKEND = "numba"
-else:
-    apply_dense = np_apply_dense
-    apply_diag = np_apply_diag
-    BACKEND = "numpy"
+def apply_diag(amps, diag, targets, n, cmask):
+    """Multiply each target basis slice by its diagonal entry, skipping 1s."""
+    view = amps.reshape((2,) * n)
+    index = _view_index(n, cmask)
+    k = len(targets)
+    for g, entry in enumerate(diag):
+        if entry == 1:
+            continue
+        for i, q in enumerate(targets):
+            bit = (g >> (k - 1 - i)) & 1
+            index[q] = slice(bit, bit + 1)
+        view[tuple(index)] *= entry

@@ -96,6 +96,15 @@ def _activation(name: str, m1: int, m2: int):
     raise click.UsageError(f"unknown activation {name!r}")
 
 
+def _positive_int(section: dict, key: str, default: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise click.UsageError(
+            f"discriminator.{key} must be a positive integer, got {value!r}"
+        )
+    return value
+
+
 def _discriminator(raw: dict, n: int) -> DiscriminatorConfig | None:
     section = raw.get("discriminator")
     if section is None:
@@ -103,13 +112,22 @@ def _discriminator(raw: dict, n: int) -> DiscriminatorConfig | None:
     # Missing keys fall back to train()'s own discriminator, whose
     # activation is the threshold one.
     default = training_discriminator(n)
-    m1 = int(section.get("m1", default.m1))
-    m2 = int(section.get("m2", default.m2))
-    act = _activation(section.get("activation", "threshold"), m1, m2)
-    try:
-        return DiscriminatorConfig(m1=m1, m2=m2, activation=act)
-    except ValueError as exc:
-        raise click.ClickException(f"invalid discriminator config: {exc}")
+    m1 = _positive_int(section, "m1", default.m1)
+    m2 = _positive_int(section, "m2", default.m2)
+    min_m2 = default.min_m2(n)
+    if m2 < min_m2:
+        raise click.UsageError(
+            f"discriminator.m2 = {m2} cannot hold signed products of {n} "
+            f"features; need at least {min_m2}"
+        )
+    name = section.get("activation", "threshold")
+    # The scaled identity is negative on every negative signed product, so
+    # it is no label probability and training cannot use it.
+    if name not in ("sigmoid", "threshold"):
+        raise click.UsageError(
+            f"discriminator.activation must be 'sigmoid' or 'threshold', got {name!r}"
+        )
+    return DiscriminatorConfig(m1=m1, m2=m2, activation=_activation(name, m1, m2))
 
 
 def _train_config(raw: dict, seed: int | None) -> TrainConfig:
@@ -184,12 +202,12 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
     """Run adversarial training; write trace.csv and train.json."""
     raw = _load_config(config_path)
     cfg = _train_config(raw, seed)
+    disc = _discriminator(raw, cfg.n_qubits)
     params = _svi_params(raw)
     try:
         dist = discretize(params, cfg.n_qubits)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    disc = _discriminator(raw, cfg.n_qubits)
 
     trace = train(cfg, dist, disc)
 

@@ -159,26 +159,15 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def _apply_in_place(amps: np.ndarray, num_qubits: int, op: CircuitOp):
-    # Qubit q has bit significance num_qubits - 1 - q; targets[0] is the
-    # most significant bit of the gate's own basis index.
-    k = op.gate.arity
-    tshifts = [num_qubits - 1 - q for q in op.targets]
-    offsets = np.zeros(2**k, dtype=np.int64)
-    for g in range(2**k):
-        off = 0
-        for bit in range(k):
-            if (g >> (k - 1 - bit)) & 1:
-                off |= 1 << tshifts[bit]
-        offsets[g] = off
-    tshifts_asc = np.array(sorted(tshifts), dtype=np.int64)
+    # Qubit q has bit significance num_qubits - 1 - q.
     cmask = 0
     for c in op.controls:
         cmask |= 1 << (num_qubits - 1 - c)
     diag = op.gate._diag
     if diag is not None:
-        _kernels.apply_diag(amps, diag, tshifts_asc, offsets, cmask)
+        _kernels.apply_diag(amps, diag, op.targets, num_qubits, cmask)
     else:
-        _kernels.apply_dense(amps, op.gate.matrix, tshifts_asc, offsets, cmask)
+        _kernels.apply_dense(amps, op.gate.matrix, op.targets, num_qubits, cmask)
 
 
 def apply_op(state: StateVector, op: CircuitOp) -> StateVector:

@@ -145,6 +145,38 @@ def implied_vol(price: float, k: float, T: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _butterfly_g(k, w, wp, wpp):
+    # g(k) from the total variance and its first two derivatives, on
+    # scalars or arrays; the implied density is g times a positive factor.
+    return (1.0 - k * wp / (2.0 * w)) ** 2 - (wp**2 / 4.0) * (0.25 + 1.0 / w) + wpp / 2.0
+
+
+#: Log-moneyness points where discretize() requires g(k) >= 0.
+_ARBITRAGE_GRID = np.linspace(-1.0, 1.0, 4001)
+
+
+def check_butterfly(params: SviParams) -> None:
+    """Raise if g(k) < 0 somewhere on a fine grid of [-1, 1].
+
+    A negative g is butterfly arbitrage: the implied density is negative
+    there (Gatheral & Jacquier, arXiv:1204.0646). The error names the
+    first failing k.
+    """
+    k = _ARBITRAGE_GRID
+    d = k - params.m
+    r = np.hypot(d, params.xi)
+    w = params.a + params.b * (params.rho * d + r)
+    # r = 0 (xi = 0 at k = m) or w = 0 give NaN, which density() rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _butterfly_g(k, w, params.b * (params.rho + d / r), params.b * params.xi**2 / r**3)
+    bad = np.flatnonzero(g < 0.0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} < 0 at k = {k[i]:.4f}"
+        )
+
+
 def density(params: SviParams, k: float) -> float:
     """Density of log(S_T) implied by the smile, in closed form.
 
@@ -154,7 +186,7 @@ def density(params: SviParams, k: float) -> float:
     w, wp, wpp = svi_derivatives(params, k)
     if w <= 0.0:
         raise ValueError(f"total variance {w} is not positive at k = {k}")
-    g = (1.0 - k * wp / (2.0 * w)) ** 2 - (wp**2 / 4.0) * (0.25 + 1.0 / w) + wpp / 2.0
+    g = _butterfly_g(k, w, wp, wpp)
     d_minus = -k / math.sqrt(w) - math.sqrt(w) / 2.0
     return g / math.sqrt(2.0 * math.pi * w) * math.exp(-(d_minus**2) / 2.0)
 
@@ -187,12 +219,14 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 def discretize(params: SviParams, n_qubits: int) -> DiscreteDistribution:
     """Bin masses of the log-price density over 2^n uniform bins of [-1, 1].
 
-    Each bin is integrated to absolute tolerance 1e-10 and the vector is
-    renormalized; the mass lost to truncation outside [-1, 1] is reported
-    on the result.
+    The smile must be free of butterfly arbitrage on [-1, 1]
+    (`check_butterfly`). Each bin is integrated to absolute tolerance 1e-10
+    and the vector is renormalized; the mass lost to truncation outside
+    [-1, 1] is reported on the result.
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
+    check_butterfly(params)
     edges = np.linspace(-1.0, 1.0, 2**n_qubits + 1)
     f = lambda k: density(params, k)
     raw = np.array(

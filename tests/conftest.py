@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-criteria summary.
+"""The acceptance-criteria summary printed at the end of a test run.
 
 The terminal summary prints one PASS/FAIL line per acceptance criterion
 (tests named test_criterion_NN_* in test_acceptance.py), so the verdicts
@@ -6,17 +6,6 @@ survive in captured logs even when every test passes.
 """
 
 import re
-
-import pytest
-
-from qgansim.statevec import (
-    CircuitOp,
-    QuantumCircuit,
-    basis_ket,
-    diagonal,
-    hadamard,
-    run_circuit,
-)
 
 _CRITERIA = {
     1: "qft/inverse round trip and unitarity, n <= 6, error < 1e-10, under 5 s",
@@ -34,20 +23,6 @@ _CRITERIA = {
 }
 
 _results = {}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # First gate application compiles the jitted kernels; keep that cost
-    # out of the timed acceptance tests.
-    circ = QuantumCircuit(
-        2,
-        (
-            CircuitOp(hadamard(), (0,)),
-            CircuitOp(diagonal([0.0, 0.25]), (1,), (0,)),
-        ),
-    )
-    run_circuit(circ, basis_ket(2, 0))
 
 
 def pytest_runtest_logreport(report):

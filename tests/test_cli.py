@@ -177,6 +177,27 @@ def test_bad_activation_name_is_a_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ({"activation": "identity"}, "discriminator.activation"),
+        ({"m1": "abc"}, "discriminator.m1"),
+        ({"m1": 2.7}, "discriminator.m1"),
+        ({"m1": True}, "discriminator.m1"),
+        ({"m1": 0}, "discriminator.m1"),
+        ({"m2": None}, "discriminator.m2"),
+        ({"m2": -3}, "discriminator.m2"),
+        ({"m2": 1}, "discriminator.m2"),  # too few bits for 4 features
+    ],
+)
+def test_bad_discriminator_key_is_a_usage_error_naming_it(runner, tmp_path, section, key):
+    cfg = _small_train_config(tmp_path, n_qubits=4, discriminator=section)
+    result = runner.invoke(main, ["train", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert key in combined(result)
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_demo_qft_single_qubit(runner):
     result = runner.invoke(main, ["demo", "qft", "--n", "1", "--basis", "0"])
     assert result.exit_code == 0
@@ -224,16 +245,18 @@ def test_demo_qip_rejects_oversized_weights(runner):
 
 
 def test_demo_neuron_distribution_normalizes(runner):
-    result = runner.invoke(
-        main,
-        [
-            "demo", "neuron", "--x", "0.75,0.25", "--w", "0.9,-0.4",
-            "--activation", "sigmoid", "--m1", "2", "--m2", "3", "-p", "2",
-        ],
-    )
-    assert result.exit_code == 0
-    rows = [json.loads(line) for line in result.output.splitlines()]
-    assert abs(sum(row["prob"] for row in rows) - 1.0) < 1e-9
+    # `train` rejects the identity activation; the demo keeps it.
+    for activation in ("sigmoid", "identity"):
+        result = runner.invoke(
+            main,
+            [
+                "demo", "neuron", "--x", "0.75,0.25", "--w", "0.9,-0.4",
+                "--activation", activation, "--m1", "2", "--m2", "3", "-p", "2",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in result.output.splitlines()]
+        assert abs(sum(row["prob"] for row in rows) - 1.0) < 1e-9
 
 
 def test_demo_vector_parse_error(runner):

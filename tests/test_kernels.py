@@ -1,8 +1,6 @@
-"""The two gate-application backends must be interchangeable."""
+"""The gate kernel against full matrices built from Kronecker products."""
 
-import os
-import subprocess
-import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,56 +8,106 @@ from numpy.testing import assert_allclose
 
 from qgansim import _kernels
 
+_I = np.eye(2)
+_ONE = np.diag([0.0, 1.0])  # |1><1|
 
-def _random_case(rng, n, k, controlled):
+
+def _unit(i, j):
+    # |i><j| on one qubit.
+    e = np.zeros((2, 2))
+    e[i, j] = 1.0
+    return e
+
+
+def _full_matrix(n, gate, targets, controls):
+    """The 2^n x 2^n matrix of `gate` on `targets`, conditioned on `controls`.
+
+    Written as I - P + sum_{g,h} gate[g, h] |g><h|_targets (x) P_controls,
+    with P the projector onto every control reading 1 and qubit 0 the
+    leftmost Kronecker factor.
+    """
+    k = len(targets)
+
+    def factors(g, h):
+        out = [_ONE if q in controls else _I for q in range(n)]
+        for i, q in enumerate(targets):
+            out[q] = _unit((g >> (k - 1 - i)) & 1, (h >> (k - 1 - i)) & 1)
+        return out
+
+    proj = reduce(np.kron, [_ONE if q in controls else _I for q in range(n)])
+    full = np.eye(2**n) - proj
+    for g in range(2**k):
+        for h in range(2**k):
+            full = full + gate[g, h] * reduce(np.kron, factors(g, h))
+    return full
+
+
+def _cmask(n, controls):
+    return sum(1 << (n - 1 - c) for c in controls)
+
+
+_CASES = [
+    (n, k, c)
+    for n in range(1, 9)
+    for k in range(1, min(n, 3) + 1)
+    for c in range(0, min(n - k, 2) + 1)
+]
+
+
+def _random_case(n, k, c):
+    rng = np.random.default_rng(1000 * n + 10 * k + c)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    q, _ = np.linalg.qr(
+    wires = [int(w) for w in rng.permutation(n)]
+    targets, controls = tuple(wires[:k]), tuple(wires[k : k + c])
+    if k > 1 and targets == tuple(sorted(targets)):
+        targets = targets[::-1]  # keep every multi-qubit case out of order
+    return rng, amps, targets, controls
+
+
+@pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 1])
+@pytest.mark.parametrize("n,k,c", _CASES)
+def test_dense_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
+    # block_qubits=1 splits every gate into one sub-view per free-qubit
+    # assignment, the path 2^20-amplitude registers take.
+    monkeypatch.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+    rng, amps, targets, controls = _random_case(n, k, c)
+    mat, _ = np.linalg.qr(
         rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
     )
-    wires = rng.permutation(n)
-    targets = [int(w) for w in wires[:k]]
-    tshifts = [n - 1 - t for t in targets]
-    offsets = np.zeros(2**k, dtype=np.int64)
-    for g in range(2**k):
-        off = 0
-        for bit in range(k):
-            if (g >> (k - 1 - bit)) & 1:
-                off |= 1 << tshifts[bit]
-        offsets[g] = off
-    cmask = 0
-    if controlled and n > k:
-        cmask = 1 << (n - 1 - int(wires[k]))
-    return amps, np.ascontiguousarray(q), np.array(sorted(tshifts), dtype=np.int64), offsets, cmask
+    expected = _full_matrix(n, mat, targets, controls) @ amps
+    _kernels.apply_dense(amps, np.ascontiguousarray(mat), targets, n, _cmask(n, controls))
+    assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_dense_backends_agree():
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        n = int(rng.integers(1, 8))
-        k = int(rng.integers(1, min(n, 3) + 1))
-        amps, mat, tshifts, offsets, cmask = _random_case(rng, n, k, trial % 2)
-        a_np = amps.copy()
-        a_nb = amps.copy()
-        _kernels.np_apply_dense(a_np, mat, tshifts, offsets, cmask)
-        _kernels.nb_apply_dense(a_nb, mat, tshifts, offsets, cmask)
-        assert_allclose(a_np, a_nb, atol=1e-13)
+@pytest.mark.parametrize("n,k,c", _CASES)
+def test_diag_matches_kronecker_matrix(n, k, c):
+    rng, amps, targets, controls = _random_case(n, k, c)
+    diag = np.exp(2j * np.pi * rng.uniform(size=2**k))
+    diag[rng.permutation(2**k)[: 2 ** (k - 1)]] = 1.0  # entries the kernel skips
+    expected = _full_matrix(n, np.diag(diag), targets, controls) @ amps
+    _kernels.apply_diag(amps, diag, targets, n, _cmask(n, controls))
+    assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_diag_backends_agree():
-    rng = np.random.default_rng(6)
-    for trial in range(20):
-        n = int(rng.integers(1, 8))
-        k = int(rng.integers(1, min(n, 3) + 1))
-        amps, _, tshifts, offsets, cmask = _random_case(rng, n, k, trial % 2)
-        diag = np.exp(2j * np.pi * rng.uniform(size=2**k))
-        a_np = amps.copy()
-        a_nb = amps.copy()
-        _kernels.np_apply_diag(a_np, diag, tshifts, offsets, cmask)
-        _kernels.nb_apply_diag(a_nb, diag, tshifts, offsets, cmask)
-        assert_allclose(a_np, a_nb, atol=1e-13)
+def test_cases_cover_unordered_targets_and_controls():
+    seen = [_random_case(n, k, c)[2:] for n, k, c in _CASES]
+    assert any(list(t) != sorted(t) for t, _ in seen)
+    assert {len(ctrl) for _, ctrl in seen} == {0, 1, 2}
+
+
+def test_diag_leaves_unit_entries_untouched():
+    # crz's diagonal is (1, 1, 1, e^(i phi)): only the |11> quarter changes,
+    # and the other three quarters keep their exact bits.
+    amps = np.arange(1, 17, dtype=np.complex128)
+    before = amps.copy()
+    phase = np.exp(0.3j)
+    _kernels.apply_diag(amps, np.array([1, 1, 1, phase]), (1, 3), 4, 0)
+    quarter = amps.reshape(2, 2, 2, 2)[:, 1, :, 1]
+    assert_allclose(quarter, before.reshape(2, 2, 2, 2)[:, 1, :, 1] * phase)
+    untouched = np.ones((2, 2, 2, 2), dtype=bool)
+    untouched[:, 1, :, 1] = False
+    assert np.array_equal(amps.reshape(2, 2, 2, 2)[untouched], before.reshape(2, 2, 2, 2)[untouched])
 
 
 def test_numpy_dense_leaves_uncontrolled_half_alone():
@@ -68,69 +116,5 @@ def test_numpy_dense_leaves_uncontrolled_half_alone():
     amps = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
     mat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     before = amps.copy()
-    _kernels.np_apply_dense(
-        amps, mat, np.array([0], dtype=np.int64), np.array([0, 1], dtype=np.int64), 2
-    )
+    _kernels.apply_dense(amps, mat, (1,), 2, 2)
     assert_allclose(amps, before)
-
-
-def _backend_in_subprocess(extra_env):
-    code = "import qgansim._kernels as k; print(k.BACKEND)"
-    env = {**os.environ, **extra_env}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess({"QGANSIM_NO_NUMBA": "1"}) == "numpy"
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba():
-    env = {k: v for k, v in os.environ.items() if k != "QGANSIM_NO_NUMBA"}
-    code = "import qgansim._kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def test_full_pipeline_agrees_across_backends():
-    """A training score computed under the numpy fallback matches the
-    in-process backend to near machine precision."""
-    code = (
-        "import numpy as np\n"
-        "from qgansim.adversarial import score\n"
-        "from qgansim.discriminator import DiscriminatorConfig, DiscriminatorWeights\n"
-        "from qgansim.generator import GeneratorParams\n"
-        "from qgansim.statevec import StateVector\n"
-        "theta = GeneratorParams(np.array([0.4, 1.2, 2.2]))\n"
-        "w = DiscriminatorWeights(np.array([0.3, -0.8]))\n"
-        "target = StateVector(2, np.sqrt([0.4, 0.3, 0.2, 0.1]))\n"
-        "print(repr(float(score(theta, w, target, DiscriminatorConfig(m1=2, m2=2)))))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "QGANSIM_NO_NUMBA": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-
-    from qgansim.adversarial import score
-    from qgansim.discriminator import DiscriminatorConfig, DiscriminatorWeights
-    from qgansim.generator import GeneratorParams
-    from qgansim.statevec import StateVector
-
-    here = float(
-        score(
-            GeneratorParams(np.array([0.4, 1.2, 2.2])),
-            DiscriminatorWeights(np.array([0.3, -0.8])),
-            StateVector(2, np.sqrt([0.4, 0.3, 0.2, 0.1])),
-            DiscriminatorConfig(m1=2, m2=2),
-        )
-    )
-    assert abs(float(out.stdout.strip()) - here) < 1e-12

@@ -15,6 +15,7 @@ from qgansim.svi import (
     SviParams,
     adaptive_simpson,
     bs_price,
+    check_butterfly,
     density,
     discretize,
     implied_vol,
@@ -165,6 +166,23 @@ def test_discretize_sixteen_bins_is_normalized_and_unimodal():
     assert peak == 8
     assert np.all(np.diff(masses[: peak + 1]) > 0.0)
     assert np.all(np.diff(masses[peak:]) < 0.0)
+
+
+# g(k) < 0 on about [-0.93, -0.84]: a negative implied density there.
+_ARBITRAGE_SMILE = SviParams(a=0.0883, b=0.7892, rho=0.1137, m=-0.2775, xi=0.1678, T=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_discretize_rejects_butterfly_arbitrage_naming_k(n):
+    assert density(_ARBITRAGE_SMILE, -0.884) < 0.0
+    with pytest.raises(ValueError, match=r"butterfly arbitrage.* at k = -0\.9300"):
+        discretize(_ARBITRAGE_SMILE, n)
+
+
+def test_readme_smile_has_no_butterfly_arbitrage():
+    check_butterfly(DEFAULT_SMILE_PARAMS)
+    ks = np.linspace(-1.0, 1.0, 2001)
+    assert min(density(DEFAULT_SMILE_PARAMS, float(k)) for k in ks) > 0.0
 
 
 def test_target_state_amplitudes_are_root_masses():
