@@ -32,6 +32,14 @@ _CRY_SHIFT_MINUS = (np.sqrt(2.0) - 1.0) / (4.0 * np.sqrt(2.0))
 # one; at n <= 7 a run of this many misses has probability below 1e-10.
 _MAX_INIT_DRAWS = 10_000
 
+# Most candidate angle sets train() tests at once while it looks for the
+# first sign-aligned one; the cap keeps searches of hundreds of draws
+# (n = 6 and 7) from growing the batch, and peak memory with it.
+_INIT_BATCH = 64
+
+# Bernoulli labelling rounds the sampled estimator draws per block.
+_ROUND_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class ScoreValue:
@@ -136,16 +144,27 @@ def _sampled_scores(rng, shots):
     """Score estimator from `shots` labelling rounds per probability.
 
     Pairs are sampled in order, the target's rounds before the generated
-    state's, each as one rng.random(shots) draw.
+    state's, as if each took one rng.random(shots) draw. The rounds are
+    drawn in blocks of about _ROUND_BLOCK values, which consume the
+    generator exactly as those single draws do.
     """
+    rows = max(1, _ROUND_BLOCK // shots)
+    cols = min(shots, _ROUND_BLOCK)
 
     def estimate(p_t, p_g):
         p_t, p_g = np.broadcast_arrays(p_t, p_g)
-        hits = [
-            (rng.random(shots) < a).mean() - (rng.random(shots) < b).mean()
-            for a, b in zip(p_t.flat, p_g.flat)
-        ]
-        return np.reshape(hits, p_t.shape)
+        # Interleaved target, generated, target, ... one row per probability.
+        probs = np.stack([p_t.ravel(), p_g.ravel()], axis=-1).reshape(-1, 1)
+        hits = np.zeros(probs.shape[0], dtype=np.int64)
+        for row in range(0, probs.shape[0], rows):
+            block = probs[row : row + rows]
+            # Below _ROUND_BLOCK shots one pass draws every round of a row;
+            # above it a single row is drawn in column chunks.
+            for col in range(0, shots, cols):
+                draws = rng.random((block.shape[0], min(cols, shots - col)))
+                hits[row : row + rows] += np.count_nonzero(draws < block, axis=-1)
+        freq = hits / shots
+        return np.reshape(freq[0::2] - freq[1::2], p_t.shape)
 
     return estimate
 
@@ -213,13 +232,13 @@ def _shift_rule(n: int) -> tuple:
     return offsets, weights
 
 
-def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, fd_step) -> np.ndarray:
+def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, steps) -> np.ndarray:
     # Central differences; the probes w + h e_0, w - h e_0, w + h e_1, ...
-    # are labelled as one batch and estimated in that order.
-    steps = np.kron(np.eye(wvec.size), [[fd_step], [-fd_step]])
+    # (`steps` holds these offsets, so steps[0, 0] = h) are labelled as
+    # one batch and estimated in that order.
     r = fast.label_probs(wvec + steps)[0]
     s = estimate(r @ t_probs, r @ g_probs)
-    return (s[0::2] - s[1::2]) / (2.0 * fd_step)
+    return (s[0::2] - s[1::2]) / (2.0 * steps[0, 0])
 
 
 def _grad_theta_raw(n, thetas, r, t_probs, estimate, rule) -> np.ndarray:
@@ -306,6 +325,37 @@ def training_discriminator(n: int) -> DiscriminatorConfig:
     )
 
 
+def _initial_thetas(n: int, rng: np.random.Generator) -> np.ndarray:
+    """First sign-aligned uniform angle draw, consuming rng draw by draw.
+
+    Candidates are the successive rng.uniform(0, pi, num_params(n)) draws.
+    They are tested in batches of at most _INIT_BATCH; once a batch holds
+    an aligned one, rng is rewound to the batch start and redraws up to
+    that candidate, so it ends where a one-at-a-time search would. After
+    _MAX_INIT_DRAWS misses the last draw is kept with its mixing-layer
+    angles set to 0.
+    """
+    size = num_params(n)
+    drawn = 0
+    batch = 1
+    while True:
+        state = rng.bit_generator.state
+        rows = min(batch, _MAX_INIT_DRAWS - drawn)
+        candidates = rng.uniform(0.0, np.pi, (rows, size))
+        aligned = ~(generate_amps(n, candidates) < -1e-12).any(axis=1)
+        if aligned.any():
+            first = int(np.argmax(aligned))
+            rng.bit_generator.state = state
+            rng.uniform(0.0, np.pi, (first + 1, size))
+            return candidates[first]
+        drawn += rows
+        if drawn == _MAX_INIT_DRAWS:
+            thetas = candidates[-1]
+            thetas[2 * n - 1 :] = 0.0
+            return thetas
+        batch = min(2 * batch, _INIT_BATCH)
+
+
 def train(
     cfg: TrainConfig,
     target: DiscreteDistribution,
@@ -319,11 +369,11 @@ def train(
     shots > 0) come from one seeded generator in a fixed order, so equal
     seeds give bitwise-equal traces.
 
-    Angles start at a uniform draw from [0, pi] that is resampled, one
-    draw at a time, until every generated amplitude is nonnegative like
-    the target's. The label probability is blind to amplitude signs (the
-    discriminator never mixes data basis states), so a sign mismatch
-    could never be trained away; starting aligned keeps the fidelity
+    Angles start at the first of successive uniform draws from [0, pi]
+    whose generated amplitudes are all nonnegative like the target's.
+    The label probability is blind to amplitude signs (the discriminator
+    never mixes data basis states), so a sign mismatch could never be
+    trained away; starting aligned keeps the fidelity
     target reachable. At n = 2 the first draw always qualifies; with the
     mixing layer present the share of qualifying draws falls from about
     one in three at n = 3 to about one in 400 at n = 7, and to none seen
@@ -355,14 +405,7 @@ def train(
         disc = training_discriminator(n)
     fast = FastDiscriminator(disc, n)
     rng = np.random.default_rng(cfg.seed)
-    thetas = rng.uniform(0.0, np.pi, num_params(n))
-    draws = 1
-    while (_gen_amps(n, thetas) < -1e-12).any():
-        if draws == _MAX_INIT_DRAWS:
-            thetas[2 * n - 1 :] = 0.0
-            break
-        thetas = rng.uniform(0.0, np.pi, num_params(n))
-        draws += 1
+    thetas = _initial_thetas(n, rng)
     if theta_init is not None:
         thetas = np.array(theta_init, dtype=float)
         if thetas.size != num_params(n):
@@ -376,6 +419,7 @@ def train(
     t_probs = np.abs(t_amps) ** 2
     estimate = _exact_scores if cfg.shots == 0 else _sampled_scores(rng, cfg.shots)
     rule = _shift_rule(n)
+    steps = np.kron(np.eye(n), [[cfg.fd_step], [-cfg.fd_step]])
 
     e = cfg.epochs
     scores = np.empty(e)
@@ -395,7 +439,7 @@ def train(
             if cfg.shots == 0:
                 gw = (t_probs - gen_probs) @ fast.label_probs(wvec)[1]
             else:
-                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, cfg.fd_step)
+                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, steps)
             wvec = np.clip(wvec + cfg.lr_d * gw, -1.0, 1.0)
         r = fast.label_probs(wvec)[0]
         needs_restart = estimate(t_probs @ r, gen_probs @ r) <= 0.0

@@ -27,7 +27,7 @@ from .qneuron import (
     scaled_identity_activation,
     sigmoid_activation,
 )
-from .statevec import basis_ket, diagonal
+from .statevec import MAX_QUBITS, basis_ket, diagonal
 from .svi import DEFAULT_SMILE_PARAMS, SviParams, density, discretize
 
 _TRAIN_KEYS = {
@@ -105,12 +105,13 @@ def _positive_int(section: dict, key: str, default: int) -> int:
     return value
 
 
-def _discriminator(raw: dict, n: int) -> DiscriminatorConfig | None:
+def _discriminator(raw: dict, n: int) -> DiscriminatorConfig:
+    # A missing section, and missing keys, fall back to train()'s own
+    # discriminator, whose activation is the threshold one; its width is
+    # checked like a configured one.
     section = raw.get("discriminator")
     if section is None:
-        return None
-    # Missing keys fall back to train()'s own discriminator, whose
-    # activation is the threshold one.
+        section = {}
     default = training_discriminator(n)
     m1 = _positive_int(section, "m1", default.m1)
     m2 = _positive_int(section, "m2", default.m2)
@@ -119,6 +120,11 @@ def _discriminator(raw: dict, n: int) -> DiscriminatorConfig | None:
         raise click.UsageError(
             f"discriminator.m2 = {m2} cannot hold signed products of {n} "
             f"features; need at least {min_m2}"
+        )
+    if m1 + m2 + n > MAX_QUBITS:
+        raise click.UsageError(
+            f"discriminator.m1 + discriminator.m2 = {m1 + m2} ancillas and {n} "
+            f"data qubits exceed the {MAX_QUBITS}-qubit circuit limit"
         )
     name = section.get("activation", "threshold")
     # The scaled identity is negative on every negative signed product, so

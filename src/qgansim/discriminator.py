@@ -18,9 +18,10 @@ from math import ceil, log2
 
 import numpy as np
 
-from .fourier import inverse_qft_gate, qft_matrix
+from .fourier import inverse_qft_gate
 from .qneuron import ActivationFn, WeightVector, build_u_wm, build_activation, signed_decode, sigmoid_activation
 from .statevec import (
+    MAX_QUBITS,
     CircuitOp,
     Projector,
     QuantumCircuit,
@@ -66,11 +67,29 @@ class DiscriminatorConfig:
     def __post_init__(self):
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("m1 and m2 must be at least 1")
+        if self.m1 + self.m2 >= MAX_QUBITS:
+            raise ValueError(
+                f"m1 + m2 = {self.m1 + self.m2} leaves no data qubit in a "
+                f"circuit of at most {MAX_QUBITS} qubits"
+            )
 
     def min_m2(self, n: int) -> int:
         # The register sees bits.w / 2 in [-n/2, n/2]; both endpoints must
         # decode distinctly, so 2^(m2-1) > n/2 - 1, i.e. m2 > log2(n).
         return ceil(log2(n)) + 1 if n > 1 else 1
+
+    def check_width(self, n: int) -> None:
+        """Raise unless the perceptron circuit on n data qubits can be built."""
+        if self.m2 < self.min_m2(n):
+            raise ValueError(
+                f"m2 = {self.m2} cannot hold signed products of {n} features; "
+                f"need m2 >= {self.min_m2(n)}"
+            )
+        if self.m1 + self.m2 + n > MAX_QUBITS:
+            raise ValueError(
+                f"m1 + m2 + n = {self.m1} + {self.m2} + {n} qubits exceed the "
+                f"{MAX_QUBITS}-qubit circuit limit"
+            )
 
     @classmethod
     def for_width(cls, n: int) -> "DiscriminatorConfig":
@@ -91,11 +110,7 @@ def build_discriminator(
     """The full perceptron circuit on m1 + m2 + n qubits."""
     if w.w.size != n:
         raise ValueError(f"need one weight per data qubit ({n}), got {w.w.size}")
-    if cfg.m2 < cfg.min_m2(n):
-        raise ValueError(
-            f"m2 = {cfg.m2} cannot hold signed products of {n} features; "
-            f"need m2 >= {cfg.min_m2(n)}"
-        )
+    cfg.check_width(n)
     m1, m2 = cfg.m1, cfg.m2
     width = m1 + m2 + n
     ops = [CircuitOp(hadamard(), (m1 + s,)) for s in range(m2)]
@@ -130,44 +145,48 @@ class FastDiscriminator:
         r(t) = a0 + sum_{k=1}^{N-1} alpha_k cos(2 pi k t / N)
                                    + beta_k sin(2 pi k t / N),
 
-    whose coefficients depend only on (cfg, n) and are computed here.
-    Agreement with the circuit (label_real_probability) is covered by
-    tests.
+    whose coefficients depend only on (cfg, n) and are computed here with
+    one FFT. label_probs evaluates the series as Re(sum_k (alpha_k -
+    i beta_k) z^k) from a running product of z = e^(2 i pi t / N), so it
+    takes one complex exponential per basis state, not one cosine and one
+    sine per frequency. Agreement with the circuit (label_real_probability)
+    is covered by tests.
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
-        if cfg.m2 < cfg.min_m2(n):
-            raise ValueError(
-                f"m2 = {cfg.m2} cannot hold signed products of {n} features; "
-                f"need m2 >= {cfg.min_m2(n)}"
-            )
+        cfg.check_width(n)
         self.cfg = cfg
         self.n = n
         m1, m2 = cfg.m1, cfg.m2
-        # Bit matrix of the data register, most significant bit first.
-        self._bits = (
+        # Bit matrix of the data register, most significant bit first, at
+        # the half scale the bits enter the phase with (p = 1).
+        self._half_bits = (
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-        ).astype(np.float64)
+        ) / 2.0
+        size = 2**m2
         sigma = np.array(
-            [float(cfg.activation.fn(signed_decode(r, m2))) for r in range(2**m2)]
+            [float(cfg.activation.fn(signed_decode(r, m2))) for r in range(size)]
         )
         if np.any(sigma < 0.0) or np.any(sigma >= 1.0):
             raise ValueError("activation values must lie in [0, 1)")
-        # Activation estimation of sigma_b on the m1 register, then the
-        # probability c_b that its most significant qubit reads 1.
+        # Activation estimation of sigma_b on the m1 register (its inverse
+        # QFT is an FFT along the register axis), then the probability c_b
+        # that its most significant qubit reads 1.
         act = np.exp(2j * np.pi * np.arange(2**m1)[:, None] * sigma[None, :])
-        act = qft_matrix(m1).conj().T @ act / np.sqrt(2.0**m1)
+        act = np.fft.fft(act, axis=0) / 2**m1
         readout = np.sum(np.abs(act[2 ** (m1 - 1) :]) ** 2, axis=0)
         # The Fejer weight is (1/N^2) sum_{|k|<N} (N - |k|) e^(2 i pi k (t - b) / N);
-        # pairing k with -k leaves the real series above.
-        size = 2**m2
+        # pairing k with -k leaves the real series above, whose coefficients
+        # alpha_k - i beta_k are the weighted FFT fft(readout)[k]
+        # = sum_b c_b e^(-2 i pi k b / N).
         k = np.arange(1, size)
-        self._freq = 2.0 * np.pi * k / size
-        angle = self._freq[:, None] * np.arange(size)[None, :]
         weight = 2.0 * (size - k) / size**2
         self._a0 = float(readout.sum()) / size
-        self._alpha = weight * (np.cos(angle) @ readout)
-        self._beta = weight * (np.sin(angle) @ readout)
+        coef = weight * np.fft.fft(readout)[1:]
+        # With z = e^(omega t), omega = 2 i pi / N: r = a0 + Re(z^k @ coef)
+        # and dr/dt = Re(z^k @ (omega k) coef).
+        self._omega = 2j * np.pi / size
+        self._cols = np.stack([coef, self._omega * k * coef], axis=1)
 
     def label_probs(self, w: np.ndarray) -> tuple:
         """Label probabilities r(w) of the data basis states and their Jacobian.
@@ -177,13 +196,14 @@ class FastDiscriminator:
         is P(label Real | basis state x), and dr/dw with shape
         (..., 2^n, n).
         """
-        # Phase value per basis state: bits enter at half scale (p = 1).
-        t = (np.asarray(w, dtype=np.float64) @ self._bits.T) / 2.0
-        phase = t[..., None] * self._freq
-        cos, sin = np.cos(phase), np.sin(phase)
-        r = self._a0 + cos @ self._alpha + sin @ self._beta
-        slope = cos @ (self._freq * self._beta) - sin @ (self._freq * self._alpha)
-        return r, slope[..., None] * self._bits / 2.0
+        t = np.asarray(w, dtype=np.float64) @ self._half_bits.T
+        # Powers z^1 .. z^(N-1) of one complex exponential per basis state.
+        z = np.exp(self._omega * t)
+        powers = np.multiply.accumulate(
+            np.broadcast_to(z[..., None], z.shape + (self._cols.shape[0],)), axis=-1
+        )
+        series = (powers @ self._cols).real
+        return self._a0 + series[..., 0], series[..., 1, None] * self._half_bits
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
         """P(label Real) for the data register in state `data_amps`."""

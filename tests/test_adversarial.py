@@ -1,6 +1,7 @@
 """Adversarial objective and trainer: the POVM trace identity, gradient
-rules, the minmax bound, and the train() contract (determinism, shapes,
-validation, restarts)."""
+rules, the minmax bound, the blocked sampled estimator and the batched
+initial draw against their one-at-a-time forms, and the train() contract
+(determinism, shapes, validation, restarts)."""
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qgansim.discriminator import (
     DiscriminatorWeights,
     FastDiscriminator,
 )
-from qgansim.generator import GeneratorParams, generate_state, num_params
+from qgansim.generator import GeneratorParams, generate_amps, generate_state, num_params
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 from qgansim.svi import DiscreteDistribution
 
@@ -330,3 +331,101 @@ def test_train_falls_back_to_the_cascade_after_the_draw_cap(monkeypatch):
     assert_allclose(start[: 2 * n - 1], first[: 2 * n - 1], atol=1e-9)
     assert_allclose(start[2 * n - 1 :], 0.0, atol=1e-9)
     assert np.min(generate_state(n, GeneratorParams(start)).amps.real) >= -1e-12
+
+
+def one_at_a_time_scores(rng, shots, p_t, p_g):
+    """The sampled estimator drawing one rng.random(shots) per probability."""
+    p_t, p_g = np.broadcast_arrays(p_t, p_g)
+    hits = [
+        (rng.random(shots) < a).mean() - (rng.random(shots) < b).mean()
+        for a, b in zip(p_t.flat, p_g.flat)
+    ]
+    return np.reshape(hits, p_t.shape)
+
+
+@pytest.mark.parametrize(
+    "shots, shape",
+    [
+        (1, (5,)),
+        (7, ()),
+        (1000, (3, 4)),
+        (1000, (50,)),
+        (2**14, (3,)),
+        (2**14 + 3, (2, 2)),
+        (200000, ()),
+        (200000, (2,)),
+    ],
+)
+def test_blocked_rounds_match_one_draw_per_probability(shots, shape):
+    rng = np.random.default_rng(shots)
+    p_t = rng.uniform(size=shape)
+    p_g = rng.uniform(size=shape)
+    if p_t.size > 1:
+        p_t.flat[0], p_g.flat[1] = 0.0, 1.0
+    blocked, reference = np.random.default_rng(9), np.random.default_rng(9)
+    got = adversarial._sampled_scores(blocked, shots)(p_t, p_g)
+    want = one_at_a_time_scores(reference, shots, p_t, p_g)
+    assert got.shape == want.shape == shape
+    assert np.array_equal(got, want)
+    assert blocked.bit_generator.state == reference.bit_generator.state
+
+
+def test_blocked_rounds_broadcast_a_scalar_against_an_array():
+    blocked, reference = np.random.default_rng(4), np.random.default_rng(4)
+    p_g = np.array([[0.1, 0.5], [0.9, 0.3]])
+    got = adversarial._sampled_scores(blocked, 300)(0.6, p_g)
+    assert np.array_equal(got, one_at_a_time_scores(reference, 300, 0.6, p_g))
+    assert blocked.random() == reference.random()
+
+
+def one_at_a_time_thetas(n, rng):
+    """The initial draw of train(), testing one candidate per call."""
+    thetas = rng.uniform(0.0, np.pi, num_params(n))
+    draws = 1
+    while (generate_amps(n, thetas[None, :])[0] < -1e-12).any():
+        if draws == adversarial._MAX_INIT_DRAWS:
+            thetas[2 * n - 1 :] = 0.0
+            break
+        thetas = rng.uniform(0.0, np.pi, num_params(n))
+        draws += 1
+    return thetas, draws
+
+
+def test_batched_initial_draw_matches_one_candidate_at_a_time():
+    longest = 0
+    for n in range(2, 8):
+        for seed in range(4):
+            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = adversarial._initial_thetas(n, batched)
+            want, draws = one_at_a_time_thetas(n, reference)
+            assert np.array_equal(got, want)
+            assert batched.uniform(-1.0, 1.0) == reference.uniform(-1.0, 1.0)
+            longest = max(longest, draws)
+    # The search ran past the 1 + 2 + ... + 64 draws of the first batches.
+    assert longest > 127
+
+
+@pytest.mark.parametrize("cap", [1, 70])
+def test_batched_initial_draw_falls_back_at_the_same_cap(monkeypatch, cap):
+    # At n = 7 about one draw in 400 is aligned; a cap of 70 is reached
+    # after batches of 1, 2, 4, 8, 16 and 32 draws and a clipped one of 7.
+    monkeypatch.setattr(adversarial, "_MAX_INIT_DRAWS", cap)
+    n, fallbacks = 7, 0
+    for seed in range(6):
+        batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = adversarial._initial_thetas(n, batched)
+        want, draws = one_at_a_time_thetas(n, reference)
+        assert np.array_equal(got, want)
+        assert batched.uniform(-1.0, 1.0) == reference.uniform(-1.0, 1.0)
+        fallbacks += draws == cap and not np.any(want[2 * n - 1 :])
+    assert fallbacks > 0
+
+
+def test_train_starts_from_the_one_at_a_time_draw():
+    # Vanishing learning rates keep the first recorded angles at the draw.
+    for n, seed in [(3, 0), (5, 1), (6, 2)]:
+        masses = np.ones(2**n) / 2**n
+        cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, shots=50, seed=seed)
+        start = train(cfg, DiscreteDistribution(n, masses)).thetas[0]
+        want, _ = one_at_a_time_thetas(n, np.random.default_rng(seed))
+        assert_allclose(start, want, rtol=0, atol=1e-9)

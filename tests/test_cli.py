@@ -198,6 +198,27 @@ def test_bad_discriminator_key_is_a_usage_error_naming_it(runner, tmp_path, sect
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "n_qubits, section, key",
+    [
+        (2, {"m2": 30}, "discriminator.m2"),
+        (2, {"m1": 9, "m2": 10}, "discriminator.m1"),
+        # train()'s own discriminator is 2 + 6 ancillas wide at 13 features.
+        (13, None, "discriminator.m2"),
+    ],
+)
+def test_discriminator_beyond_the_circuit_limit_is_a_usage_error(
+    runner, tmp_path, n_qubits, section, key
+):
+    extra = {} if section is None else {"discriminator": section}
+    cfg = _small_train_config(tmp_path, n_qubits=n_qubits, **extra)
+    result = runner.invoke(main, ["train", "--config", cfg, "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert key in combined(result)
+    assert "20-qubit circuit limit" in combined(result)
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_demo_qft_single_qubit(runner):
     result = runner.invoke(main, ["demo", "qft", "--n", "1", "--basis", "0"])
     assert result.exit_code == 0

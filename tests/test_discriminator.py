@@ -1,6 +1,10 @@
 """Perceptron discriminator: circuit vs closed-form evaluator (label
-probabilities and their Jacobian), the label law on a 1-bit activation
-register, sign blindness, and the mid-cell threshold activation."""
+probabilities and their Jacobian), the phase-power evaluation against the
+cos/sin series, register width limits, the label law on a 1-bit
+activation register, sign blindness, and the mid-cell threshold
+activation."""
+
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +18,9 @@ from qgansim.discriminator import (
     label_real_probability,
     threshold_activation,
 )
-from qgansim.qneuron import custom_activation, sigmoid_activation
-from qgansim.statevec import StateVector, basis_ket
+from qgansim.fourier import qft_matrix
+from qgansim.qneuron import custom_activation, signed_decode, sigmoid_activation
+from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 
 
 def random_state(rng, n):
@@ -48,6 +53,32 @@ def test_build_rejects_narrow_register():
         )
     with pytest.raises(ValueError):
         FastDiscriminator(DiscriminatorConfig(m1=1, m2=2), 4)
+
+
+def test_registers_beyond_the_circuit_limit_are_rejected_naming_m2():
+    with pytest.raises(ValueError, match="m2"):
+        DiscriminatorConfig(m1=1, m2=30)
+    with pytest.raises(ValueError, match="m2"):
+        DiscriminatorConfig(m1=1, m2=MAX_QUBITS - 1)
+    # m1 + m2 fits, but not together with two data qubits.
+    cfg = DiscriminatorConfig(m1=1, m2=MAX_QUBITS - 2)
+    with pytest.raises(ValueError, match="m2"):
+        FastDiscriminator(cfg, 2)
+    with pytest.raises(ValueError, match="m2"):
+        build_discriminator(DiscriminatorWeights(np.ones(2)), cfg, 2)
+
+
+def test_widest_inner_product_register_constructs_quickly():
+    # m1 + m2 + n = 20 qubits: the coefficients come from FFTs, so set-up
+    # stays far from the O(N^2) cost of a dense angle table.
+    m2 = MAX_QUBITS - 3
+    cfg = DiscriminatorConfig(m1=1, m2=m2, activation=threshold_activation(1, 2.0**m2))
+    start = time.perf_counter()
+    fast = FastDiscriminator(cfg, 2)
+    r, jac = fast.label_probs(np.zeros(2))
+    assert time.perf_counter() - start < 1.0
+    assert_allclose(r, 0.5, rtol=0, atol=1e-12)
+    assert jac.shape == (4, 2)
 
 
 def test_build_rejects_weight_count_mismatch():
@@ -239,3 +270,56 @@ def test_p_real_is_born_weighted_label_probs():
         amps = random_state(rng, n).amps
         expected = np.abs(amps) ** 2 @ fast.label_probs(w)[0]
         assert abs(fast.p_real(w, amps) - expected) <= 1e-15
+
+
+def cos_sin_series(cfg):
+    """Coefficients of the label series of FastDiscriminator, summed
+    directly over the register outcomes, and an evaluator that takes
+    one cos and one sin per frequency."""
+    m1, m2 = cfg.m1, cfg.m2
+    size = 2**m2
+    sigma = np.array([cfg.activation.fn(signed_decode(b, m2)) for b in range(size)])
+    act = np.exp(2j * np.pi * np.arange(2**m1)[:, None] * sigma[None, :])
+    act = qft_matrix(m1).conj().T @ act / np.sqrt(2.0**m1)
+    readout = np.sum(np.abs(act[2 ** (m1 - 1) :]) ** 2, axis=0)
+    k = np.arange(1, size)
+    freq = 2.0 * np.pi * k / size
+    weight = 2.0 * (size - k) / size**2
+    alpha, beta = np.empty(size - 1), np.empty(size - 1)
+    for lo in range(0, size - 1, 256):  # row blocks keep the angle table small
+        angle = freq[lo : lo + 256, None] * np.arange(size)[None, :]
+        alpha[lo : lo + 256] = np.cos(angle) @ readout
+        beta[lo : lo + 256] = np.sin(angle) @ readout
+    alpha *= weight
+    beta *= weight
+
+    def label_probs(n, w):
+        bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+        phase = (w @ bits.T / 2.0)[..., None] * freq
+        cos, sin = np.cos(phase), np.sin(phase)
+        r = readout.sum() / size + cos @ alpha + sin @ beta
+        slope = cos @ (freq * beta) - sin @ (freq * alpha)
+        return r, slope[..., None] * bits / 2.0
+
+    return label_probs
+
+
+def test_phase_powers_match_cos_sin_series():
+    # Products reach |t| = n/2 at w = +-1 on the all-ones basis state, and
+    # the running product of z runs up to z^(N-1) = z^4095 at m2 = 12.
+    rng = np.random.default_rng(40)
+    for m2 in (1, 2, 3, 4, 5, 8, 12):
+        for m1 in (1, 2, 3) if m2 < 12 else (1, 2):
+            acts = _activations(m1, m2)
+            # The sigmoid reaches 1.0 in floating point beyond m2 = 5.
+            for act in acts if m2 <= 5 else acts[1:]:
+                cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
+                reference = cos_sin_series(cfg)
+                for n in range(1, 7):
+                    if m2 < cfg.min_m2(n):
+                        continue
+                    w = np.vstack([np.ones(n), -np.ones(n), rng.uniform(-1.0, 1.0, (2, n))])
+                    r, jac = FastDiscriminator(cfg, n).label_probs(w)
+                    ref_r, ref_jac = reference(n, w)
+                    assert_allclose(r, ref_r, rtol=0, atol=1e-12)
+                    assert_allclose(jac, ref_jac, rtol=0, atol=1e-12)
