@@ -20,7 +20,7 @@ from .discriminator import (
 )
 from .generator import GeneratorParams, generate_amps, num_params, param_kinds
 from .metrics import fidelity, kl_divergence, trace_distance_pure
-from .statevec import MAX_QUBITS, StateVector
+from .statevec import MAX_QUBITS, StateVector, check_int, check_real
 from .svi import DiscreteDistribution, target_state
 
 # Shift-rule coefficients for controlled rotations, whose score is a
@@ -57,10 +57,10 @@ class ScoreValue:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the alternating gradient game."""
+    """Hyperparameters of the alternating gradient game (shots = 0: exact)."""
 
-    n_qubits: int
-    epochs: int
+    n_qubits: int = 4
+    epochs: int = 300
     n_d: int = 9
     n_g: int = 1
     lr_d: float = 0.05
@@ -70,25 +70,16 @@ class TrainConfig:
     fd_step: float = 1e-5
 
     def __post_init__(self):
-        for key in ("n_qubits", "epochs", "n_d", "n_g", "shots", "seed"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
         for key in ("epochs", "n_d", "n_g"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be nonnegative (0 = exact), got {self.shots}")
+            check_int(key, getattr(self, key), 1)
+        check_int("shots", self.shots, 0)
+        check_int("seed", self.seed, 0)
         for key in ("lr_d", "lr_g", "fd_step"):
             value = getattr(self, key)
-            real = isinstance(value, (int, float, np.integer, np.floating))
-            if not (real and np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            check_real(key, value)
+            if value <= 0.0:
+                raise ValueError(f"{key} = {value!r} is not positive")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ with the same seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -27,23 +29,15 @@ from .qneuron import (
     scaled_identity_activation,
     sigmoid_activation,
 )
-from .statevec import MAX_QUBITS, basis_ket, diagonal
+from .statevec import basis_ket, diagonal
 from .svi import DEFAULT_SMILE_PARAMS, SviParams, density, discretize
 
-_TRAIN_KEYS = {
-    "n_qubits",
-    "epochs",
-    "n_d",
-    "n_g",
-    "lr_d",
-    "lr_g",
-    "shots",
-    "seed",
-    "fd_step",
-}
-_SVI_KEYS = {"a", "b", "rho", "m", "xi", "T"}
-_DISC_KEYS = {"m1", "m2", "activation"}
-_TOP_KEYS = _TRAIN_KEYS | {"svi", "discriminator", "out_dir"}
+# Every setting is checked and defaulted by its library type; the CLI only
+# reads the JSON, hands each section over, and names a rejected key as
+# section.key.
+_SECTIONS = {"svi": SviParams, "discriminator": DiscriminatorConfig}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_TOP_KEYS = _TRAIN_KEYS | set(_SECTIONS) | {"out_dir"}
 
 _PROB_FLOOR = 1e-12  # demo output omits outcomes below this
 
@@ -51,13 +45,20 @@ _PROB_FLOOR = 1e-12  # demo output omits outcomes below this
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise click.UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise click.UsageError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
-    _reject_unknown(raw.get("svi", {}), _SVI_KEYS, "config.svi")
-    _reject_unknown(raw.get("discriminator", {}), _DISC_KEYS, "config.discriminator")
+    for name, kind in _SECTIONS.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise click.UsageError(f"config.{name} must be a JSON object, got {section!r}")
+        _reject_unknown(section, {f.name for f in fields(kind)}, f"config.{name}")
+    if not isinstance(raw.get("out_dir", ""), str):
+        raise click.UsageError(f"out_dir = {raw['out_dir']!r} is not a string")
     return raw
 
 
@@ -67,23 +68,17 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         raise click.UsageError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _qualified(exc: ValueError, name: str) -> str:
+    # Library messages name a setting as "key = value"; prefix the section.
+    keys = "|".join(f.name for f in fields(_SECTIONS[name]))
+    return re.sub(rf"\b({keys}) = ", rf"{name}.\1 = ", str(exc))
+
+
 def _svi_params(raw: dict) -> SviParams:
-    section = raw.get("svi")
-    if section is None:
-        return DEFAULT_SMILE_PARAMS
-    merged = {
-        "a": DEFAULT_SMILE_PARAMS.a,
-        "b": DEFAULT_SMILE_PARAMS.b,
-        "rho": DEFAULT_SMILE_PARAMS.rho,
-        "m": DEFAULT_SMILE_PARAMS.m,
-        "xi": DEFAULT_SMILE_PARAMS.xi,
-        "T": DEFAULT_SMILE_PARAMS.T,
-    }
-    merged.update(section)
     try:
-        return SviParams(**merged)
+        return replace(DEFAULT_SMILE_PARAMS, **raw.get("svi", {}))
     except ValueError as exc:
-        raise click.ClickException(f"invalid SVI parameters: {exc}")
+        raise click.ClickException(f"invalid SVI parameters: {_qualified(exc, 'svi')}")
 
 
 def _activation(name: str, m1: int, m2: int):
@@ -93,55 +88,31 @@ def _activation(name: str, m1: int, m2: int):
         return threshold_activation(m1, 2.0**m2)
     if name == "identity":
         return scaled_identity_activation(m2)
-    raise click.UsageError(f"unknown activation {name!r}")
-
-
-def _positive_int(section: dict, key: str, default: int) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise click.UsageError(
-            f"discriminator.{key} must be a positive integer, got {value!r}"
-        )
-    return value
+    raise ValueError(f"activation = {name!r} is not sigmoid, threshold or identity")
 
 
 def _discriminator(raw: dict, n: int) -> DiscriminatorConfig:
-    # A missing section, and missing keys, fall back to train()'s own
-    # discriminator, whose activation is the threshold one; its width is
-    # checked like a configured one.
-    section = raw.get("discriminator")
-    if section is None:
-        section = {}
+    # Missing keys fall back to train()'s own discriminator, whose
+    # activation is the threshold one; its width is checked like a
+    # configured one. The width check also rejects an activation that is
+    # no label probability, such as the identity on negative products.
+    section = raw.get("discriminator", {})
     default = training_discriminator(n)
-    m1 = _positive_int(section, "m1", default.m1)
-    m2 = _positive_int(section, "m2", default.m2)
-    min_m2 = default.min_m2(n)
-    if m2 < min_m2:
-        raise click.UsageError(
-            f"discriminator.m2 = {m2} cannot hold signed products of {n} "
-            f"features; need at least {min_m2}"
-        )
-    if m1 + m2 + n > MAX_QUBITS:
-        raise click.UsageError(
-            f"discriminator.m1 + discriminator.m2 = {m1 + m2} ancillas and {n} "
-            f"data qubits exceed the {MAX_QUBITS}-qubit circuit limit"
-        )
-    name = section.get("activation", "threshold")
-    # The scaled identity is negative on every negative signed product, so
-    # it is no label probability and training cannot use it.
-    if name not in ("sigmoid", "threshold"):
-        raise click.UsageError(
-            f"discriminator.activation must be 'sigmoid' or 'threshold', got {name!r}"
-        )
-    return DiscriminatorConfig(m1=m1, m2=m2, activation=_activation(name, m1, m2))
+    try:
+        m1, m2 = section.get("m1", default.m1), section.get("m2", default.m2)
+        cfg = DiscriminatorConfig(m1=m1, m2=m2)
+        name = section.get("activation", "threshold")
+        cfg = replace(cfg, activation=_activation(name, cfg.m1, cfg.m2))
+        cfg.check_width(n)
+    except ValueError as exc:
+        raise click.UsageError(_qualified(exc, "discriminator"))
+    return cfg
 
 
 def _train_config(raw: dict, seed: int | None) -> TrainConfig:
     kwargs = {k: raw[k] for k in _TRAIN_KEYS if k in raw}
     if seed is not None:
         kwargs["seed"] = seed
-    kwargs.setdefault("n_qubits", 4)
-    kwargs.setdefault("epochs", 300)
     try:
         return TrainConfig(**kwargs)
     except ValueError as exc:
@@ -174,8 +145,8 @@ def main() -> None:
 def target(config_path: str | None, out_dir: str) -> None:
     """Write the discretized target (JSON) and density curve (CSV)."""
     raw = _load_config(config_path)
+    n = _train_config(raw, None).n_qubits
     params = _svi_params(raw)
-    n = int(raw.get("n_qubits", 4))
     try:
         dist = discretize(params, n)
     except ValueError as exc:
@@ -327,8 +298,8 @@ def demo_neuron(
     w = _parse_vector(w_text, "--w")
     if x.size != w.size:
         raise click.UsageError("--x and --w must have equal length")
-    fn = _activation(activation, m1, m2)
     try:
+        fn = _activation(activation, m1, m2)
         dist = neuron_forward(x, WeightVector(w), fn, m1, m2, precision)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -19,7 +19,8 @@ from math import ceil, log2
 import numpy as np
 
 from .fourier import inverse_qft_gate
-from .qneuron import ActivationFn, WeightVector, build_u_wm, build_activation, signed_decode, sigmoid_activation
+from .qneuron import ActivationFn, WeightVector, activation_stage, activation_table, build_u_wm
+from .qneuron import signed_decode, sigmoid_activation
 from .statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -27,6 +28,7 @@ from .statevec import (
     QuantumCircuit,
     StateVector,
     basis_ket,
+    check_int,
     hadamard,
     outcome_probability,
     run_circuit,
@@ -65,43 +67,43 @@ class DiscriminatorConfig:
     activation: ActivationFn = field(default_factory=sigmoid_activation)
 
     def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError("m1 and m2 must be at least 1")
+        check_int("m1", self.m1, 1)
+        check_int("m2", self.m2, 1)
         if self.m1 + self.m2 >= MAX_QUBITS:
             raise ValueError(
-                f"m1 + m2 = {self.m1 + self.m2} leaves no data qubit in a "
-                f"circuit of at most {MAX_QUBITS} qubits"
+                f"m1 = {self.m1} and m2 = {self.m2} ancillas leave no data qubit "
+                f"within the {MAX_QUBITS}-qubit circuit limit"
             )
 
-    def min_m2(self, n: int) -> int:
+    @staticmethod
+    def min_m2(n: int) -> int:
         # The register sees bits.w / 2 in [-n/2, n/2]; both endpoints must
         # decode distinctly, so 2^(m2-1) > n/2 - 1, i.e. m2 > log2(n).
         return ceil(log2(n)) + 1 if n > 1 else 1
 
-    def check_width(self, n: int) -> None:
-        """Raise unless the perceptron circuit on n data qubits can be built."""
+    def check_width(self, n: int) -> np.ndarray:
+        """Raise unless the perceptron circuit on n data qubits can be built.
+
+        Returns the activation table: sigma[r] is the activation of the
+        signed product that m2-register outcome r decodes to.
+        """
         if self.m2 < self.min_m2(n):
             raise ValueError(
                 f"m2 = {self.m2} cannot hold signed products of {n} features; "
-                f"need m2 >= {self.min_m2(n)}"
+                f"need at least {self.min_m2(n)}"
             )
         if self.m1 + self.m2 + n > MAX_QUBITS:
             raise ValueError(
-                f"m1 + m2 + n = {self.m1} + {self.m2} + {n} qubits exceed the "
-                f"{MAX_QUBITS}-qubit circuit limit"
+                f"m1 = {self.m1} and m2 = {self.m2} ancillas with {n} data qubits "
+                f"exceed the {MAX_QUBITS}-qubit circuit limit"
             )
+        products = signed_decode(np.arange(2**self.m2), self.m2)
+        return activation_table(self.activation, products)
 
     @classmethod
     def for_width(cls, n: int) -> "DiscriminatorConfig":
         """Smallest sigmoid perceptron accepting n data qubits."""
-        return cls(m1=1, m2=ceil(log2(n)) + 1 if n > 1 else 1)
-
-
-def _signed_activation(cfg: DiscriminatorConfig) -> ActivationFn:
-    """Activation composed with the signed decode of the m2 register."""
-    base = cfg.activation.fn
-    m2 = cfg.m2
-    return ActivationFn("custom", lambda r: base(signed_decode(int(r), m2)))
+        return cls(m1=1, m2=cls.min_m2(n))
 
 
 def build_discriminator(
@@ -110,14 +112,14 @@ def build_discriminator(
     """The full perceptron circuit on m1 + m2 + n qubits."""
     if w.w.size != n:
         raise ValueError(f"need one weight per data qubit ({n}), got {w.w.size}")
-    cfg.check_width(n)
+    sigma = cfg.check_width(n)
     m1, m2 = cfg.m1, cfg.m2
     width = m1 + m2 + n
     ops = [CircuitOp(hadamard(), (m1 + s,)) for s in range(m2)]
     # Precision-1 inputs already halve the phase; weights pass unscaled.
     ops.extend(shift_circuit(build_u_wm(w, m2, 1), m1, width).ops)
     ops.append(CircuitOp(inverse_qft_gate(m2), tuple(range(m1, m1 + m2))))
-    ops.extend(build_activation(_signed_activation(cfg), m2, m1).ops)
+    ops.extend(activation_stage(sigma, m1).ops)
     return QuantumCircuit(width, tuple(ops))
 
 
@@ -154,7 +156,7 @@ class FastDiscriminator:
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
-        cfg.check_width(n)
+        sigma = cfg.check_width(n)
         self.cfg = cfg
         self.n = n
         m1, m2 = cfg.m1, cfg.m2
@@ -164,11 +166,6 @@ class FastDiscriminator:
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
         ) / 2.0
         size = 2**m2
-        sigma = np.array(
-            [float(cfg.activation.fn(signed_decode(r, m2))) for r in range(size)]
-        )
-        if np.any(sigma < 0.0) or np.any(sigma >= 1.0):
-            raise ValueError("activation values must lie in [0, 1)")
         # Activation estimation of sigma_b on the m1 register (its inverse
         # QFT is an FFT along the register axis), then the probability c_b
         # that its most significant qubit reads 1.

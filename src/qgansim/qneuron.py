@@ -84,8 +84,29 @@ def scaled_identity_activation(input_qubits: int) -> ActivationFn:
 
 
 def custom_activation(fn) -> ActivationFn:
-    """Wrap an arbitrary callable; outputs are validated at circuit build."""
+    """Wrap a callable; outputs are validated at circuit build.
+
+    `fn` is called once with a numpy array of all register values and
+    returns their activations, as an array of that shape or a scalar.
+    """
     return ActivationFn("custom", fn)
+
+
+def activation_table(fn: ActivationFn, inputs: np.ndarray) -> np.ndarray:
+    """fn over `inputs`, in one call; raises unless every value is in [0, 1).
+
+    The error names the first failing input. Non-finite values (a
+    sigmoid's exp overflowing, say) are rejected, not warned about.
+    """
+    with np.errstate(all="ignore"):
+        sigma = np.broadcast_to(np.asarray(fn.fn(inputs), dtype=np.float64), inputs.shape)
+    bad = np.flatnonzero(~((sigma >= 0.0) & (sigma < 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"activation = {fn.name} maps {inputs[i]} to {float(sigma[i])!r}, outside [0, 1)"
+        )
+    return sigma
 
 
 def encode_input(x, precision: int) -> EncodedInput:
@@ -160,12 +181,12 @@ def qip(x, w: WeightVector, ancillas: int, precision: int):
     return int(np.argmax(dist)), dist
 
 
-def signed_decode(outcome: int, ancillas: int) -> int:
-    """Two's-complement style decode of a halved-weight register outcome."""
-    half = 2 ** (ancillas - 1)
-    if outcome < half:
-        return 2 * outcome
-    return 2 * (outcome - 2**ancillas)
+def signed_decode(outcome, ancillas: int):
+    """Two's-complement style decode of a halved-weight register outcome.
+
+    Takes one outcome or an integer array of them.
+    """
+    return 2 * (outcome - 2**ancillas * (outcome >= 2 ** (ancillas - 1)))
 
 
 def qip_signed(x, w: WeightVector, ancillas: int, precision: int) -> float:
@@ -192,14 +213,15 @@ def build_activation(fn: ActivationFn, input_qubits: int, ancillas: int) -> Quan
     The unitary under estimation is Diag(e^(2*i*pi*fn(x))) over the input
     register, whose eigenphase on basis input |x> is exactly fn(x).
     """
-    q = input_qubits
-    m1 = ancillas
-    if q < 1 or m1 < 1:
+    if input_qubits < 1 or ancillas < 1:
         raise ValueError("register widths must be at least 1")
-    sigma = np.array([float(fn.fn(x)) for x in range(2**q)])
-    if np.any(sigma < 0.0) or np.any(sigma >= 1.0):
-        raise ValueError("activation values must lie in [0, 1)")
-    width = m1 + q
+    return activation_stage(activation_table(fn, np.arange(2**input_qubits)), ancillas)
+
+
+def activation_stage(sigma: np.ndarray, ancillas: int) -> QuantumCircuit:
+    """build_activation from the table sigma[x] of activation values in [0, 1)."""
+    m1 = ancillas
+    width = m1 + sigma.size.bit_length() - 1  # sigma holds 2^q values
     input_targets = tuple(range(m1, width))
     ops = [CircuitOp(hadamard(), (s,)) for s in range(m1)]
     for s in range(m1):

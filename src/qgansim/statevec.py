@@ -11,6 +11,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,25 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-10
+
+
+# Setting checks shared by the package's config types. Each message starts
+# with "key = value", so a caller can qualify the key (see cli.py). Bools
+# are neither integers nor real numbers here.
+def check_int(key: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError naming `key` unless value is an integer in [low, high]."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{key} = {value!r} is not an integer {bounds}")
+
+
+def check_real(key: str, value) -> None:
+    """Raise ValueError naming `key` unless value is a finite real number."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    # Exact for Python ints too: one beyond the float range is no float.
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} = {value!r} is not a finite real number")
 
 
 class StateVector:

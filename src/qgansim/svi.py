@@ -11,14 +11,11 @@ target distribution for the adversarial trainer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .statevec import StateVector
-
-#: Example smile calibrated to an equity index surface at T = 1.
-DEFAULT_SMILE_PARAMS = None  # assigned below once SviParams exists
+from .statevec import MAX_QUBITS, StateVector, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -33,17 +30,18 @@ class SviParams:
     T: float = 1.0
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b < 0.0 or self.xi < 0.0:
-            raise ValueError("a, b, xi must be nonnegative")
+        for f in fields(self):
+            check_real(f.name, getattr(self, f.name))
+        for key in ("a", "b", "xi"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"{key} = {getattr(self, key)!r} is negative")
         if not -1.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [-1, 1]")
+            raise ValueError(f"rho = {self.rho!r} is outside [-1, 1]")
         if self.T <= 0.0:
-            raise ValueError("T must be positive")
-        for name in ("a", "b", "rho", "m", "xi", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            raise ValueError(f"T = {self.T!r} is not positive")
 
 
+#: Example smile calibrated to an equity index surface at T = 1.
 DEFAULT_SMILE_PARAMS = SviParams(
     a=0.030358, b=0.0503815, rho=-0.1, m=0.3, xi=0.048922, T=1.0
 )
@@ -224,8 +222,7 @@ def discretize(params: SviParams, n_qubits: int) -> DiscreteDistribution:
     and the vector is renormalized; the mass lost to truncation outside
     [-1, 1] is reported on the result.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
+    check_int("n_qubits", n_qubits, 1, MAX_QUBITS)
     check_butterfly(params)
     edges = np.linspace(-1.0, 1.0, 2**n_qubits + 1)
     f = lambda k: density(params, k)

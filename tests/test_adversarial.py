@@ -3,6 +3,8 @@ rules, the minmax bound, the blocked sampled estimator and the batched
 initial draw against their one-at-a-time forms, and the train() contract
 (determinism, shapes, validation, restarts)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,7 +29,7 @@ from qgansim.discriminator import (
 )
 from qgansim.generator import GeneratorParams, generate_amps, generate_state, num_params
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
-from qgansim.svi import DiscreteDistribution
+from qgansim.svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution
 
 
 def random_instance(rng, n, m1=1):
@@ -306,6 +308,35 @@ def test_train_config_names_the_rejected_key(key, value):
     kwargs = {"n_qubits": 2, "epochs": 1, key: value}
     with pytest.raises(ValueError, match=key):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: DiscriminatorConfig(m1=2.7), "m1"),
+        (lambda: DiscriminatorConfig(m1=True), "m1"),
+        (lambda: DiscriminatorConfig(m2="3"), "m2"),
+        (lambda: DiscriminatorConfig(m2=0), "m2"),
+        (lambda: replace(DEFAULT_SMILE_PARAMS, a="x"), "a"),
+        (lambda: replace(DEFAULT_SMILE_PARAMS, rho=None), "rho"),
+        (lambda: replace(DEFAULT_SMILE_PARAMS, T=True), "T"),
+        (lambda: replace(DEFAULT_SMILE_PARAMS, xi=float("nan")), "xi"),
+        (lambda: TrainConfig(n_qubits=2.7), "n_qubits"),
+        (lambda: TrainConfig(n_qubits=True), "n_qubits"),
+        (lambda: TrainConfig(n_qubits=MAX_QUBITS + 1), "n_qubits"),
+        (lambda: TrainConfig(epochs=True), "epochs"),
+        (lambda: TrainConfig(lr_d=True), "lr_d"),
+        (lambda: TrainConfig(seed=-1), "seed"),
+    ],
+)
+def test_config_types_reject_wrong_types_by_key(make, key):
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        make()
+
+
+def test_train_config_defaults():
+    cfg = TrainConfig()
+    assert (cfg.n_qubits, cfg.epochs, cfg.shots, cfg.seed) == (4, 300, 0, 0)
 
 
 def test_train_at_eight_qubits_starts_sign_aligned():

@@ -283,3 +283,39 @@ def test_demo_neuron_distribution_normalizes(runner):
 def test_demo_vector_parse_error(runner):
     result = runner.invoke(main, ["demo", "qip", "--x", "py", "--w", "1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, key, code",
+    [
+        ("train", '{"n_qubits": 2,', "config", 2),
+        ("train", '{"svi": 5}', "config.svi", 2),
+        ("train", '{"svi": null}', "config.svi", 2),
+        ("train", '{"discriminator": 5}', "config.discriminator", 2),
+        ("train", '{"out_dir": 5}', "out_dir", 2),
+        ("target", '{"svi": {"a": "x"}}', "svi.a", 1),
+        ("target", '{"svi": {"a": null}}', "svi.a", 1),
+        ("target", '{"svi": {"T": true}}', "svi.T", 1),
+        ("target", '{"n_qubits": "x"}', "n_qubits", 2),
+        ("target", '{"n_qubits": 2.7}', "n_qubits", 2),
+        ("target", '{"n_qubits": 21}', "n_qubits", 2),
+        ("train", '{"n_qubits": 2, "epochs": true}', "epochs", 2),
+        ("train", '{"n_qubits": 2, "seed": -1}', "seed", 2),
+        # The sigmoid rounds to 1.0 from decoded product 38 up.
+        (
+            "train",
+            '{"n_qubits": 2, "discriminator": {"m2": 6, "activation": "sigmoid"}}',
+            "discriminator.activation = sigmoid maps 38",
+            2,
+        ),
+    ],
+)
+def test_malformed_config_is_rejected_naming_the_key(runner, tmp_path, command, text, key, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out-dir", str(out)])
+    assert result.exit_code == code, combined(result)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert key in combined(result)
+    assert not out.exists()

@@ -323,3 +323,22 @@ def test_phase_powers_match_cos_sin_series():
                     ref_r, ref_jac = reference(n, w)
                     assert_allclose(r, ref_r, rtol=0, atol=1e-12)
                     assert_allclose(jac, ref_jac, rtol=0, atol=1e-12)
+
+
+def test_out_of_range_activation_is_rejected_naming_the_product():
+    # The sigmoid rounds to 1.0 from decoded product 38 up; the widest
+    # register (2^18 products) must fail the same way, with no overflow
+    # warning from exp on the large negative products.
+    for m2, n in ((6, 2), (MAX_QUBITS - 2, 1)):
+        cfg = DiscriminatorConfig(m1=1, m2=m2)
+        with pytest.raises(ValueError, match=r"^activation = sigmoid maps 38 to 1\.0"):
+            FastDiscriminator(cfg, n)
+        with pytest.raises(ValueError, match="activation"):
+            build_discriminator(DiscriminatorWeights(np.ones(n)), cfg, n)
+
+
+def test_width_check_returns_the_signed_activation_table():
+    cfg = DiscriminatorConfig(m1=2, m2=3, activation=threshold_activation(2, 8.0))
+    sigma = cfg.check_width(2)
+    expected = [cfg.activation.fn(signed_decode(r, 3)) for r in range(8)]
+    assert_allclose(sigma, expected, rtol=0, atol=0)

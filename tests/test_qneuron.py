@@ -176,3 +176,15 @@ def test_neuron_forward_distribution_normalizes():
     assert dist.shape == (4,)
     assert abs(dist.sum() - 1.0) < 1e-12
     assert np.all(dist >= -1e-15)
+
+
+def test_signed_decode_takes_arrays_and_scalars_alike():
+    outcomes = np.arange(8)
+    decoded = signed_decode(outcomes, 3)
+    assert decoded.tolist() == [signed_decode(int(r), 3) for r in outcomes]
+    assert decoded.tolist() == [0, 2, 4, 6, -8, -6, -4, -2]
+
+
+def test_build_activation_broadcasts_a_scalar_activation():
+    circ = build_activation(custom_activation(lambda t: 0.25), 1, 2)
+    assert circ.num_qubits == 3

@@ -203,3 +203,9 @@ def test_implied_vol_round_trip_property(sigma, k):
     # intrinsic value in double precision.
     price = bs_price(k, sigma * sigma)
     assert abs(implied_vol(price, k, 1.0) - sigma) < 1e-7
+
+
+@pytest.mark.parametrize("n", [0, 21, True, 2.0])
+def test_discretize_rejects_bad_register_widths_up_front(n):
+    with pytest.raises(ValueError, match="^n_qubits = "):
+        discretize(DEFAULT_SMILE_PARAMS, n)
