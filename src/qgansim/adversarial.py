@@ -37,8 +37,11 @@ _MAX_INIT_DRAWS = 10_000
 # (n = 6 and 7) from growing the batch, and peak memory with it.
 _INIT_BATCH = 64
 
-# Bernoulli labelling rounds the sampled estimator draws per block.
-_ROUND_BLOCK = 2**14
+# Largest labelling round count rng.binomial accepts (its n is an int64).
+_MAX_SHOTS = 2**63 - 1
+
+# Memory the per-epoch trace arrays of one train() call may take.
+_TRACE_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,20 @@ class TrainConfig:
         check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
         for key in ("epochs", "n_d", "n_g"):
             check_int(key, getattr(self, key), 1)
-        check_int("shots", self.shots, 0)
+        check_int("shots", self.shots, 0, _MAX_SHOTS)
         check_int("seed", self.seed, 0)
         for key in ("lr_d", "lr_g", "fd_step"):
             value = getattr(self, key)
             check_real(key, value)
             if value <= 0.0:
                 raise ValueError(f"{key} = {value!r} is not positive")
+        n = self.n_qubits
+        trace_bytes = self.epochs * (num_params(n) + n + 4) * 8
+        if trace_bytes > _TRACE_BUDGET_BYTES:
+            raise ValueError(
+                f"epochs = {self.epochs!r} needs {trace_bytes} bytes of trace at "
+                f"n_qubits = {n}, over the {_TRACE_BUDGET_BYTES}-byte budget"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,28 +144,19 @@ def _exact_scores(p_t, p_g):
 def _sampled_scores(rng, shots):
     """Score estimator from `shots` labelling rounds per probability.
 
-    Pairs are sampled in order, the target's rounds before the generated
-    state's, as if each took one rng.random(shots) draw. The rounds are
-    drawn in blocks of about _ROUND_BLOCK values, which consume the
-    generator exactly as those single draws do.
+    The Real count of `shots` Bernoulli(p) rounds is Binomial(shots, p),
+    so each count is one binomial draw. Pairs are drawn in order, the
+    target's count before the generated state's.
     """
-    rows = max(1, _ROUND_BLOCK // shots)
-    cols = min(shots, _ROUND_BLOCK)
 
     def estimate(p_t, p_g):
-        p_t, p_g = np.broadcast_arrays(p_t, p_g)
-        # Interleaved target, generated, target, ... one row per probability.
-        probs = np.stack([p_t.ravel(), p_g.ravel()], axis=-1).reshape(-1, 1)
-        hits = np.zeros(probs.shape[0], dtype=np.int64)
-        for row in range(0, probs.shape[0], rows):
-            block = probs[row : row + rows]
-            # Below _ROUND_BLOCK shots one pass draws every round of a row;
-            # above it a single row is drawn in column chunks.
-            for col in range(0, shots, cols):
-                draws = rng.random((block.shape[0], min(cols, shots - col)))
-                hits[row : row + rows] += np.count_nonzero(draws < block, axis=-1)
-        freq = hits / shots
-        return np.reshape(freq[0::2] - freq[1::2], p_t.shape)
+        probs = np.empty(np.broadcast_shapes(np.shape(p_t), np.shape(p_g)) + (2,))
+        probs[..., 0] = p_t
+        probs[..., 1] = p_g
+        # Rounding can leave a probability just outside [0, 1], which
+        # rng.binomial rejects.
+        freq = rng.binomial(shots, probs.clip(0.0, 1.0)) / shots
+        return freq[..., 0] - freq[..., 1]
 
     return estimate
 
@@ -223,13 +224,20 @@ def _shift_rule(n: int) -> tuple:
     return offsets, weights
 
 
-def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, steps) -> np.ndarray:
-    # Central differences; the probes w + h e_0, w - h e_0, w + h e_1, ...
-    # (`steps` holds these offsets, so steps[0, 0] = h) are labelled as
-    # one batch and estimated in that order.
-    r = fast.label_probs(wvec + steps)[0]
-    s = estimate(r @ t_probs, r @ g_probs)
-    return (s[0::2] - s[1::2]) / (2.0 * steps[0, 0])
+def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, h) -> np.ndarray:
+    # Central differences over the probes w + h e_0, w - h e_0, w + h e_1,
+    # ..., estimated in that order. Probe w +- h e_j moves t_x = bits_x . w / 2
+    # by +-h/2 where bit j of x is set and leaves it elsewhere, so r at t
+    # and t +- h/2 labels all of them: with P the probabilities,
+    # P . r(w +- h e_j) = P . r(t) + sum_x P_x bits_xj (r(t_x +- h/2) - r(t_x)).
+    t = wvec @ fast.bits.T / 2.0
+    r = fast.series(t + np.array([[0.0], [h / 2.0], [-h / 2.0]]))[0]
+    moved = r[1:] - r[0]
+    # Rows (probe j, +) and (probe j, -) of each label probability.
+    p_t = (t_probs @ r[0] + (moved * t_probs) @ fast.bits).T
+    p_g = (g_probs @ r[0] + (moved * g_probs) @ fast.bits).T
+    s = estimate(p_t, p_g)
+    return (s[:, 0] - s[:, 1]) / (2.0 * h)
 
 
 def _grad_theta_raw(n, thetas, r, t_probs, estimate, rule) -> np.ndarray:
@@ -382,10 +390,10 @@ def train(
     change nothing.
 
     Scores inside the game come from one estimator: exact, or with
-    shots > 0 the mean of `shots` Bernoulli labelling rounds per
-    probability. The exact weight gradient is analytic; sampled scores
-    have no derivative, so the sampled weight gradient takes central
-    differences of step fd_step.
+    shots > 0 the Real frequency of `shots` Bernoulli labelling rounds
+    per probability, drawn as one binomial count. The exact weight
+    gradient is analytic; sampled scores have no derivative, so the
+    sampled weight gradient takes central differences of step fd_step.
     """
     n = cfg.n_qubits
     if target.n_qubits != n:
@@ -410,7 +418,6 @@ def train(
     t_probs = np.abs(t_amps) ** 2
     estimate = _exact_scores if cfg.shots == 0 else _sampled_scores(rng, cfg.shots)
     rule = _shift_rule(n)
-    steps = np.kron(np.eye(n), [[cfg.fd_step], [-cfg.fd_step]])
 
     e = cfg.epochs
     scores = np.empty(e)
@@ -430,7 +437,7 @@ def train(
             if cfg.shots == 0:
                 gw = (t_probs - gen_probs) @ fast.label_probs(wvec)[1]
             else:
-                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, steps)
+                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, cfg.fd_step)
             wvec = np.clip(wvec + cfg.lr_d * gw, -1.0, 1.0)
         r = fast.label_probs(wvec)[0]
         needs_restart = estimate(t_probs @ r, gen_probs @ r) <= 0.0

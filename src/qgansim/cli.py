@@ -20,7 +20,7 @@ import numpy as np
 from .adversarial import TrainConfig, train, training_discriminator
 from .discriminator import DiscriminatorConfig, threshold_activation
 from .fourier import qft
-from .generator import GeneratorParams, generate_state
+from .generator import generate_amps
 from .phase_estimation import qpe_distribution
 from .qneuron import (
     WeightVector,
@@ -202,13 +202,13 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
     final_theta = trace.thetas[-1]
-    generated = generate_state(cfg.n_qubits, GeneratorParams(final_theta))
+    generated_masses = generate_amps(cfg.n_qubits, final_theta[None])[0] ** 2
     _dump_json(
         out / "train.json",
         {
             "theta": final_theta.tolist(),
             "w": trace.ws[-1].tolist(),
-            "generated_masses": generated.probabilities().tolist(),
+            "generated_masses": generated_masses.tolist(),
             "target_masses": dist.masses.tolist(),
             "final": {
                 "score": float(trace.scores[-1]),

@@ -148,11 +148,11 @@ class FastDiscriminator:
                                    + beta_k sin(2 pi k t / N),
 
     whose coefficients depend only on (cfg, n) and are computed here with
-    one FFT. label_probs evaluates the series as Re(sum_k (alpha_k -
-    i beta_k) z^k) from a running product of z = e^(2 i pi t / N), so it
-    takes one complex exponential per basis state, not one cosine and one
-    sine per frequency. Agreement with the circuit (label_real_probability)
-    is covered by tests.
+    one FFT. `series` evaluates it as Re(sum_k (alpha_k - i beta_k) z^k)
+    from a running product of z = e^(2 i pi t / N), so it takes one
+    complex exponential per product, not one cosine and one sine per
+    frequency; label_probs calls it at t_x = bits_x . w / 2. Agreement
+    with the circuit (label_real_probability) is covered by tests.
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
@@ -160,11 +160,13 @@ class FastDiscriminator:
         self.cfg = cfg
         self.n = n
         m1, m2 = cfg.m1, cfg.m2
-        # Bit matrix of the data register, most significant bit first, at
-        # the half scale the bits enter the phase with (p = 1).
-        self._half_bits = (
+        # Bit matrix of the data register, most significant bit first:
+        # bits[x, j] is bit j of basis state x. The bits enter the phase at
+        # half scale (p = 1), so t_x = bits[x] . w / 2.
+        self.bits = (
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-        ) / 2.0
+        ).astype(np.float64)
+        self._half_bits = self.bits / 2.0
         size = 2**m2
         # Activation estimation of sigma_b on the m1 register (its inverse
         # QFT is an FFT along the register axis), then the probability c_b
@@ -194,13 +196,22 @@ class FastDiscriminator:
         (..., 2^n, n).
         """
         t = np.asarray(w, dtype=np.float64) @ self._half_bits.T
-        # Powers z^1 .. z^(N-1) of one complex exponential per basis state.
+        r, slope = self.series(t)
+        return r, slope[..., None] * self._half_bits
+
+    def series(self, t: np.ndarray) -> tuple:
+        """The label probability r(t) and its slope dr/dt at inner products t.
+
+        `t` holds halved products bits_x . w / 2 of any shape; both results
+        have that shape.
+        """
+        # Powers z^1 .. z^(N-1) of one complex exponential per product.
         z = np.exp(self._omega * t)
         powers = np.multiply.accumulate(
             np.broadcast_to(z[..., None], z.shape + (self._cols.shape[0],)), axis=-1
         )
         series = (powers @ self._cols).real
-        return self._a0 + series[..., 0], series[..., 1, None] * self._half_bits
+        return self._a0 + series[..., 0], series[..., 1]
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
         """P(label Real) for the data register in state `data_amps`."""

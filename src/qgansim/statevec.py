@@ -58,9 +58,11 @@ class StateVector:
             raise ValueError(
                 f"expected {2**num_qubits} amplitudes, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        # One pass, no temporaries: the norm is non-finite when an amplitude
+        # is, and `abs(nan - 1) > tol` is False, so test that first.
+        norm_sq = float(np.vdot(arr, arr).real)
+        if not np.isfinite(norm_sq):
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(arr) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm^2 is {norm_sq}, not 1")
         self.num_qubits = num_qubits

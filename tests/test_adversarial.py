@@ -1,7 +1,8 @@
 """Adversarial objective and trainer: the POVM trace identity, gradient
-rules, the minmax bound, the blocked sampled estimator and the batched
-initial draw against their one-at-a-time forms, and the train() contract
-(determinism, shapes, validation, restarts)."""
+rules, the minmax bound, the sampled estimator's distribution and its
+finite-difference probes, the batched initial draw against its
+one-at-a-time form, and the train() contract (determinism, shapes,
+validation, restarts)."""
 
 from dataclasses import replace
 
@@ -302,6 +303,8 @@ def test_weight_gradient_matches_finite_difference_formula():
         ("fd_step", float("inf")),
         ("fd_step", "1e-5"),
         ("shots", -1),
+        ("shots", 2**63),
+        ("epochs", 10**13),
     ],
 )
 def test_train_config_names_the_rejected_key(key, value):
@@ -334,6 +337,14 @@ def test_config_types_reject_wrong_types_by_key(make, key):
         make()
 
 
+def test_train_config_bounds_the_trace_and_the_shots():
+    per_epoch = (num_params(1) + 1 + 4) * 8
+    most = adversarial._TRACE_BUDGET_BYTES // per_epoch
+    TrainConfig(n_qubits=1, epochs=most, shots=2**63 - 1)
+    with pytest.raises(ValueError, match="^epochs = "):
+        TrainConfig(n_qubits=1, epochs=most + 1)
+
+
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert (cfg.n_qubits, cfg.epochs, cfg.shots, cfg.seed) == (4, 300, 0, 0)
@@ -364,49 +375,75 @@ def test_train_falls_back_to_the_cascade_after_the_draw_cap(monkeypatch):
     assert np.min(generate_state(n, GeneratorParams(start)).amps.real) >= -1e-12
 
 
-def one_at_a_time_scores(rng, shots, p_t, p_g):
-    """The sampled estimator drawing one rng.random(shots) per probability."""
+def one_pair_at_a_time_scores(rng, shots, p_t, p_g):
+    """The sampled estimator drawing one binomial count per probability."""
     p_t, p_g = np.broadcast_arrays(p_t, p_g)
     hits = [
-        (rng.random(shots) < a).mean() - (rng.random(shots) < b).mean()
+        rng.binomial(shots, a) / shots - rng.binomial(shots, b) / shots
         for a, b in zip(p_t.flat, p_g.flat)
     ]
     return np.reshape(hits, p_t.shape)
 
 
 @pytest.mark.parametrize(
-    "shots, shape",
+    "p_t, p_g",
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7), (0.5, 0.5), (0.99, 0.02)],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_scores_have_the_distribution_of_bernoulli_rounds(p_t, p_g, seed):
+    # The frequency gap of `shots` Bernoulli rounds on each side has mean
+    # p_t - p_g and variance (p_t (1 - p_t) + p_g (1 - p_g)) / shots.
+    shots, calls, size = 40, 2_000, 10
+    estimate = adversarial._sampled_scores(np.random.default_rng(seed), shots)
+    s = np.concatenate([estimate(np.full(size, p_t), p_g) for _ in range(calls)])
+    mean, var = s.mean(), s.var()
+    want_var = (p_t * (1.0 - p_t) + p_g * (1.0 - p_g)) / shots
+    var_se = np.sqrt(max(np.mean((s - mean) ** 4) - var**2, 0.0) / s.size)
+    assert abs(mean - (p_t - p_g)) <= 5.0 * np.sqrt(want_var / s.size)
+    assert abs(var - want_var) <= 5.0 * var_se
+
+
+def test_sampled_scores_accept_probabilities_rounded_past_the_ends():
+    estimate = adversarial._sampled_scores(np.random.default_rng(0), 1000)
+    assert estimate(1.0 + 2.2e-16, -1e-17) == 1.0
+    assert np.array_equal(estimate(np.array([-1e-17, 1.0 + 2.2e-16]), 1.0 + 2.2e-16), [-1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "shots, p_t, p_g",
     [
-        (1, (5,)),
-        (7, ()),
-        (1000, (3, 4)),
-        (1000, (50,)),
-        (2**14, (3,)),
-        (2**14 + 3, (2, 2)),
-        (200000, ()),
-        (200000, (2,)),
+        (1, np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)),
+        (7, 0.25, 0.5),
+        (1000, 0.6, np.array([[0.1, 0.5], [0.9, 0.3]])),
+        (1000, np.full((3, 1), 0.4), np.linspace(0.0, 1.0, 4)),
+        (2**40, np.array([0.3, 0.8]), 0.5),
     ],
 )
-def test_blocked_rounds_match_one_draw_per_probability(shots, shape):
-    rng = np.random.default_rng(shots)
-    p_t = rng.uniform(size=shape)
-    p_g = rng.uniform(size=shape)
-    if p_t.size > 1:
-        p_t.flat[0], p_g.flat[1] = 0.0, 1.0
-    blocked, reference = np.random.default_rng(9), np.random.default_rng(9)
-    got = adversarial._sampled_scores(blocked, shots)(p_t, p_g)
-    want = one_at_a_time_scores(reference, shots, p_t, p_g)
-    assert got.shape == want.shape == shape
+def test_sampled_scores_draw_pair_by_pair_in_broadcast_shape(shots, p_t, p_g):
+    got = adversarial._sampled_scores(np.random.default_rng(9), shots)(p_t, p_g)
+    again = adversarial._sampled_scores(np.random.default_rng(9), shots)(p_t, p_g)
+    want = one_pair_at_a_time_scores(np.random.default_rng(9), shots, p_t, p_g)
+    assert np.shape(got) == np.broadcast_shapes(np.shape(p_t), np.shape(p_g))
     assert np.array_equal(got, want)
-    assert blocked.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(got, again)
 
 
-def test_blocked_rounds_broadcast_a_scalar_against_an_array():
-    blocked, reference = np.random.default_rng(4), np.random.default_rng(4)
-    p_g = np.array([[0.1, 0.5], [0.9, 0.3]])
-    got = adversarial._sampled_scores(blocked, 300)(0.6, p_g)
-    assert np.array_equal(got, one_at_a_time_scores(reference, 300, 0.6, p_g))
-    assert blocked.random() == reference.random()
+@pytest.mark.parametrize("h", [1e-5, 0.3])
+def test_weight_probes_match_labelling_each_shifted_weight_vector(h):
+    # Each probe w +- h e_j labelled in full by label_probs, then the exact
+    # score's central difference.
+    rng = np.random.default_rng(71)
+    for n in range(1, 7):
+        fast = FastDiscriminator(training_discriminator(n), n)
+        w = rng.uniform(-1.0, 1.0, n)
+        t_probs, g_probs = rng.dirichlet(np.ones(2**n), size=2)
+        want = np.empty(n)
+        for j in range(n):
+            step = h * np.eye(n)[j]
+            up, down = fast.label_probs(w + step)[0], fast.label_probs(w - step)[0]
+            want[j] = ((t_probs - g_probs) @ up - (t_probs - g_probs) @ down) / (2.0 * h)
+        got = adversarial._fd_grad_w(fast, w, t_probs, g_probs, adversarial._exact_scores, h)
+        assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def one_at_a_time_thetas(n, rng):

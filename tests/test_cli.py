@@ -301,6 +301,8 @@ def test_demo_vector_parse_error(runner):
         ("target", '{"n_qubits": 21}', "n_qubits", 2),
         ("train", '{"n_qubits": 2, "epochs": true}', "epochs", 2),
         ("train", '{"n_qubits": 2, "seed": -1}', "seed", 2),
+        ("train", '{"n_qubits": 1, "epochs": 10000000000000}', "epochs", 2),
+        ("train", '{"n_qubits": 2, "shots": 9223372036854775808}', "shots", 2),
         # The sigmoid rounds to 1.0 from decoded product 38 up.
         (
             "train",

@@ -91,6 +91,22 @@ def test_state_vector_validation():
         StateVector(1, [np.nan, 0.0])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+    + [complex(0.8, x) for x in (np.nan, np.inf, -np.inf)],
+)
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, [0.6, bad])
+
+
+@pytest.mark.parametrize("amps", [[1.0, 1.0], [0.6, 0.79j], [0.0, 0.0]])
+def test_state_vector_names_a_wrong_norm(amps):
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(1, amps)
+
+
 def test_probabilities_are_squared_magnitudes():
     s = StateVector(1, [0.6, 0.8j])
     assert_allclose(s.probabilities(), [0.36, 0.64], atol=1e-15)
