@@ -28,15 +28,6 @@ from .svi import DiscreteDistribution, target_state
 _CRY_SHIFT_PLUS = (np.sqrt(2.0) + 1.0) / (4.0 * np.sqrt(2.0))
 _CRY_SHIFT_MINUS = (np.sqrt(2.0) - 1.0) / (4.0 * np.sqrt(2.0))
 
-# Initial draws train() makes before it stops waiting for a sign-aligned
-# one; at n <= 7 a run of this many misses has probability below 1e-10.
-_MAX_INIT_DRAWS = 10_000
-
-# Most candidate angle sets train() tests at once while it looks for the
-# first sign-aligned one; the cap keeps searches of hundreds of draws
-# (n = 6 and 7) from growing the batch, and peak memory with it.
-_INIT_BATCH = 64
-
 # Largest labelling round count rng.binomial accepts (its n is an int64).
 _MAX_SHOTS = 2**63 - 1
 
@@ -120,7 +111,7 @@ def _gen_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     return generate_amps(n, thetas[None, :])[0]
 
 
-def _check_instance(theta, w, target, cfg):
+def _check_instance(theta, w, target):
     n = target.num_qubits
     if theta.thetas.size != num_params(n):
         raise ValueError(
@@ -168,7 +159,7 @@ def score(
     cfg: DiscriminatorConfig,
 ) -> ScoreValue:
     """S = P(label target Real) - P(label generated Real), exact."""
-    n = _check_instance(theta, w, target, cfg)
+    n = _check_instance(theta, w, target)
     fast = FastDiscriminator(cfg, n)
     return ScoreValue(_exact_score(fast, w.w, target.amps, _gen_amps(n, theta.thetas)))
 
@@ -182,9 +173,9 @@ def score_sampled(
     seed: int,
 ) -> ScoreValue:
     """Monte Carlo estimate of the score from `shots` labelling rounds each."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    n = _check_instance(theta, w, target, cfg)
+    check_int("shots", shots, 1, _MAX_SHOTS)
+    check_int("seed", seed, 0)
+    n = _check_instance(theta, w, target)
     fast = FastDiscriminator(cfg, n)
     p_t = fast.p_real(w.w, target.amps)
     p_g = fast.p_real(w.w, _gen_amps(n, theta.thetas))
@@ -258,7 +249,7 @@ def grad_theta(
     Plain RY angles use the two-point rule at +-pi/2; CRY angles carry
     the extra half frequency and use the four-point rule.
     """
-    n = _check_instance(theta, w, target, cfg)
+    n = _check_instance(theta, w, target)
     r = FastDiscriminator(cfg, n).label_probs(w.w)[0]
     t_probs = np.abs(target.amps) ** 2
     return _grad_theta_raw(n, theta.thetas, r, t_probs, _exact_scores, _shift_rule(n))
@@ -280,7 +271,7 @@ def grad_w(
     """
     if not (np.isfinite(fd_step) and fd_step > 0.0):
         raise ValueError("fd_step must be positive and finite")
-    n = _check_instance(theta, w, target, cfg)
+    n = _check_instance(theta, w, target)
     jac = FastDiscriminator(cfg, n).label_probs(w.w)[1]
     gen_probs = _gen_amps(n, theta.thetas) ** 2
     return (np.abs(target.amps) ** 2 - gen_probs) @ jac
@@ -325,34 +316,22 @@ def training_discriminator(n: int) -> DiscriminatorConfig:
 
 
 def _initial_thetas(n: int, rng: np.random.Generator) -> np.ndarray:
-    """First sign-aligned uniform angle draw, consuming rng draw by draw.
+    """One rng.uniform(0, pi, num_params(n)) draw, made sign-aligned.
 
-    Candidates are the successive rng.uniform(0, pi, num_params(n)) draws.
-    They are tested in batches of at most _INIT_BATCH; once a batch holds
-    an aligned one, rng is rewound to the batch start and redraws up to
-    that candidate, so it ends where a one-at-a-time search would. After
-    _MAX_INIT_DRAWS misses the last draw is kept with its mixing-layer
-    angles set to 0.
+    The RY/CRY cascade angles are kept as drawn: on [0, pi] their
+    amplitudes are all nonnegative. Each mixing RY then keeps the pairs (zero, one) it
+    mixes nonnegative up to angle phi_max = 2 min atan2(zero, one), so its
+    draw u is scaled to u / pi * phi_max, in layer order.
     """
-    size = num_params(n)
-    drawn = 0
-    batch = 1
-    while True:
-        state = rng.bit_generator.state
-        rows = min(batch, _MAX_INIT_DRAWS - drawn)
-        candidates = rng.uniform(0.0, np.pi, (rows, size))
-        aligned = ~(generate_amps(n, candidates) < -1e-12).any(axis=1)
-        if aligned.any():
-            first = int(np.argmax(aligned))
-            rng.bit_generator.state = state
-            rng.uniform(0.0, np.pi, (first + 1, size))
-            return candidates[first]
-        drawn += rows
-        if drawn == _MAX_INIT_DRAWS:
-            thetas = candidates[-1]
-            thetas[2 * n - 1 :] = 0.0
-            return thetas
-        batch = min(2 * batch, _INIT_BATCH)
+    draw = rng.uniform(0.0, np.pi, num_params(n))
+    thetas = draw.copy()
+    first = 2 * n - 1
+    thetas[first:] = 0.0
+    for i in range(first, draw.size):
+        pairs = _gen_amps(n, thetas).reshape(2 ** (i - first + 2), 2, -1)
+        phi_max = 2.0 * np.arctan2(pairs[:, 0], pairs[:, 1]).min()
+        thetas[i] = draw[i] / np.pi * phi_max
+    return thetas
 
 
 def train(
@@ -368,17 +347,15 @@ def train(
     shots > 0) come from one seeded generator in a fixed order, so equal
     seeds give bitwise-equal traces.
 
-    Angles start at the first of successive uniform draws from [0, pi]
-    whose generated amplitudes are all nonnegative like the target's.
-    The label probability is blind to amplitude signs (the discriminator
-    never mixes data basis states), so a sign mismatch could never be
-    trained away; starting aligned keeps the fidelity
-    target reachable. At n = 2 the first draw always qualifies; with the
-    mixing layer present the share of qualifying draws falls from about
-    one in three at n = 3 to about one in 400 at n = 7, and to none seen
-    at n = 8. After _MAX_INIT_DRAWS draws the last one is kept with its
-    mixing-layer angles set to 0: the remaining RY/CRY cascade on angles
-    in [0, pi] has only nonnegative amplitudes.
+    Angles start from one uniform draw on [0, pi] whose generated
+    amplitudes are all nonnegative like the target's: the cascade angles
+    are kept as drawn and each mixing angle is scaled into the range that
+    keeps the signs (see _initial_thetas; at n <= 2 there is no mixing
+    layer and the draw is used as is). The label probability is blind to
+    amplitude signs (the discriminator never mixes data basis states), so
+    a sign mismatch could never be trained away; starting aligned keeps
+    the fidelity target reachable. The draw is made even when theta_init
+    replaces it, so later draws do not depend on theta_init.
 
     When an ascent phase ends without a separating witness (score not
     above zero), the next phase starts from a fresh uniform weight draw

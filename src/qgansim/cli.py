@@ -29,7 +29,7 @@ from .qneuron import (
     scaled_identity_activation,
     sigmoid_activation,
 )
-from .statevec import basis_ket, diagonal
+from .statevec import MAX_QUBITS, basis_ket, diagonal
 from .svi import DEFAULT_SMILE_PARAMS, SviParams, density, discretize
 
 # Every setting is checked and defaulted by its library type; the CLI only
@@ -231,8 +231,8 @@ def demo() -> None:
 @click.option("--basis", type=int, default=0)
 def demo_qft(n: int, basis: int) -> None:
     """Amplitudes of the Fourier transform of a basis state."""
-    if n < 1 or not 0 <= basis < 2**n:
-        raise click.UsageError("need n >= 1 and 0 <= basis < 2^n")
+    if not 1 <= n <= MAX_QUBITS or not 0 <= basis < 2**n:
+        raise click.UsageError(f"need 1 <= --n <= {MAX_QUBITS} and 0 <= --basis < 2^n")
     state = qft(basis_ket(n, basis))
     for outcome, amp in enumerate(state.amps):
         _echo_line(
@@ -249,10 +249,11 @@ def demo_qft(n: int, basis: int) -> None:
 @click.option("--m", "ancillas", type=int, default=3)
 def demo_qpe(phi: float, ancillas: int) -> None:
     """Phase estimation of diag(1, e^{2 pi i phi}) on eigenstate |1>."""
-    if ancillas < 1:
-        raise click.UsageError("need m >= 1")
     unitary = diagonal([0.0, phi])
-    dist = qpe_distribution(unitary, basis_ket(1, 1), ancillas)
+    try:
+        dist = qpe_distribution(unitary, basis_ket(1, 1), ancillas)
+    except ValueError as exc:
+        raise click.UsageError(f"--m = {ancillas}: {exc}")
     for outcome, prob in enumerate(dist):
         if prob > _PROB_FLOOR:
             _echo_line({"outcome": outcome, "prob": float(prob)})

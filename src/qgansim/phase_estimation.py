@@ -70,6 +70,8 @@ def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
 def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
     """Estimation circuit: H's, controlled powers, inverse QFT on ancillas."""
     m = ancillas
+    # First, so an oversized register is refused before the m squarings.
+    inverse = inverse_qft_gate(m)
     k = unitary.arity
     width = m + k
     eig_targets = tuple(range(m, width))
@@ -83,7 +85,7 @@ def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
     for s in range(m):
         gate = UnitaryGate(k, powers[m - 1 - s])
         ops.append(CircuitOp(gate, eig_targets, (s,)))
-    ops.append(CircuitOp(inverse_qft_gate(m), tuple(range(m))))
+    ops.append(CircuitOp(inverse, tuple(range(m))))
     return QuantumCircuit(width, tuple(ops))
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fourier import encode_fraction, inverse_qft_gate
 from .statevec import (
+    MAX_QUBITS,
     CircuitOp,
     QuantumCircuit,
     StateVector,
@@ -144,6 +145,12 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
     m = ancillas
     n = w.w.size
     width = m + n * precision
+    # Checked before the 2^(m-1) + ... + 1 repeated blocks are built.
+    if width > MAX_QUBITS:
+        raise ValueError(
+            f"ancillas = {m} with {n} inputs of {precision} digits needs "
+            f"{width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
+        )
     ops = []
     for l in range(1, m + 1):
         for _ in range(2 ** (m - l)):

@@ -161,6 +161,9 @@ class Projector:
 
 def basis_ket(num_qubits: int, index: int) -> StateVector:
     """|index> on num_qubits qubits."""
+    # Checked before the 2^num_qubits amplitudes are allocated.
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=np.complex128)

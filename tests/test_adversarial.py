@@ -1,13 +1,15 @@
 """Adversarial objective and trainer: the POVM trace identity, gradient
 rules, the minmax bound, the sampled estimator's distribution and its
-finite-difference probes, the batched initial draw against its
-one-at-a-time form, and the train() contract (determinism, shapes,
-validation, restarts)."""
+finite-difference probes, the sign-aligned initial draw, and the
+train() contract (determinism, shapes, validation, restarts)."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qgansim import adversarial
@@ -98,8 +100,25 @@ def test_score_sampled_converges_to_exact():
     exact = float(score(theta, w, target, cfg))
     approx = float(score_sampled(theta, w, target, cfg, shots=200000, seed=3))
     assert abs(approx - exact) < 0.01
-    with pytest.raises(ValueError):
-        score_sampled(theta, w, target, cfg, shots=0, seed=3)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, key",
+    [
+        (0, 3, "shots"),
+        (2.5, 3, "shots"),
+        (True, 3, "shots"),
+        (2**63, 3, "shots"),
+        ("10", 3, "shots"),
+        (10, -1, "seed"),
+        (10, 1.0, "seed"),
+        (10, "3", "seed"),
+    ],
+)
+def test_score_sampled_rejects_malformed_shots_and_seed(shots, seed, key):
+    cfg, theta, w, target = random_instance(np.random.default_rng(53), 2)
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        score_sampled(theta, w, target, cfg, shots=shots, seed=seed)
 
 
 def test_shift_rule_matches_finite_differences():
@@ -351,28 +370,12 @@ def test_train_config_defaults():
 
 
 def test_train_at_eight_qubits_starts_sign_aligned():
-    # Sign-aligned draws are rare at n = 8; the initial draw is capped.
     n = 8
     masses = np.ones(2**n) / 2**n
     cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, seed=0)
     trace = train(cfg, DiscreteDistribution(n, masses))
     state = generate_state(n, GeneratorParams(trace.thetas[0]))
     assert np.min(state.amps.real) >= -1e-12
-
-
-def test_train_falls_back_to_the_cascade_after_the_draw_cap(monkeypatch):
-    # Seed 1 at n = 4 has a mixed-sign first draw, so a cap of one draw
-    # keeps it with the mixing layer switched off.
-    n = 4
-    masses = np.ones(2**n) / 2**n
-    cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, seed=1)
-    first = np.random.default_rng(1).uniform(0.0, np.pi, num_params(n))
-    assert np.min(generate_state(n, GeneratorParams(first)).amps.real) < 0.0
-    monkeypatch.setattr(adversarial, "_MAX_INIT_DRAWS", 1)
-    start = train(cfg, DiscreteDistribution(n, masses)).thetas[0]
-    assert_allclose(start[: 2 * n - 1], first[: 2 * n - 1], atol=1e-9)
-    assert_allclose(start[2 * n - 1 :], 0.0, atol=1e-9)
-    assert np.min(generate_state(n, GeneratorParams(start)).amps.real) >= -1e-12
 
 
 def one_pair_at_a_time_scores(rng, shots, p_t, p_g):
@@ -446,54 +449,22 @@ def test_weight_probes_match_labelling_each_shifted_weight_vector(h):
         assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-def one_at_a_time_thetas(n, rng):
-    """The initial draw of train(), testing one candidate per call."""
-    thetas = rng.uniform(0.0, np.pi, num_params(n))
-    draws = 1
-    while (generate_amps(n, thetas[None, :])[0] < -1e-12).any():
-        if draws == adversarial._MAX_INIT_DRAWS:
-            thetas[2 * n - 1 :] = 0.0
-            break
-        thetas = rng.uniform(0.0, np.pi, num_params(n))
-        draws += 1
-    return thetas, draws
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_initial_draw_is_sign_aligned_from_one_uniform_draw(n, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    thetas = adversarial._initial_thetas(n, rng)
+    first = reference.uniform(0.0, np.pi, num_params(n))
+    assert np.min(generate_amps(n, thetas[None, :])) >= -1e-12
+    # Exactly one draw of num_params(n) angles was consumed.
+    assert rng.uniform(-1.0, 1.0) == reference.uniform(-1.0, 1.0)
+    # The cascade angles are used as drawn; only the mixing layer is scaled.
+    assert np.array_equal(thetas[: 2 * n - 1], first[: 2 * n - 1])
+    if n <= 2:
+        assert np.array_equal(thetas, first)
 
 
-def test_batched_initial_draw_matches_one_candidate_at_a_time():
-    longest = 0
-    for n in range(2, 8):
-        for seed in range(4):
-            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = adversarial._initial_thetas(n, batched)
-            want, draws = one_at_a_time_thetas(n, reference)
-            assert np.array_equal(got, want)
-            assert batched.uniform(-1.0, 1.0) == reference.uniform(-1.0, 1.0)
-            longest = max(longest, draws)
-    # The search ran past the 1 + 2 + ... + 64 draws of the first batches.
-    assert longest > 127
-
-
-@pytest.mark.parametrize("cap", [1, 70])
-def test_batched_initial_draw_falls_back_at_the_same_cap(monkeypatch, cap):
-    # At n = 7 about one draw in 400 is aligned; a cap of 70 is reached
-    # after batches of 1, 2, 4, 8, 16 and 32 draws and a clipped one of 7.
-    monkeypatch.setattr(adversarial, "_MAX_INIT_DRAWS", cap)
-    n, fallbacks = 7, 0
-    for seed in range(6):
-        batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = adversarial._initial_thetas(n, batched)
-        want, draws = one_at_a_time_thetas(n, reference)
-        assert np.array_equal(got, want)
-        assert batched.uniform(-1.0, 1.0) == reference.uniform(-1.0, 1.0)
-        fallbacks += draws == cap and not np.any(want[2 * n - 1 :])
-    assert fallbacks > 0
-
-
-def test_train_starts_from_the_one_at_a_time_draw():
-    # Vanishing learning rates keep the first recorded angles at the draw.
-    for n, seed in [(3, 0), (5, 1), (6, 2)]:
-        masses = np.ones(2**n) / 2**n
-        cfg = TrainConfig(n_qubits=n, epochs=1, lr_d=1e-12, lr_g=1e-12, shots=50, seed=seed)
-        start = train(cfg, DiscreteDistribution(n, masses)).thetas[0]
-        want, _ = one_at_a_time_thetas(n, np.random.default_rng(seed))
-        assert_allclose(start, want, rtol=0, atol=1e-9)
+def test_initial_draw_at_twelve_qubits_is_fast():
+    start = time.perf_counter()
+    adversarial._initial_thetas(12, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0

@@ -2,6 +2,7 @@
 under a fixed seed, config validation, and the demo subcommands."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ def test_demo_neuron_distribution_normalizes(runner):
 def test_demo_vector_parse_error(runner):
     result = runner.invoke(main, ["demo", "qip", "--x", "py", "--w", "1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["qip", "--x", "0.5", "--w", "1", "--m", "26"], "ancillas"),
+        (["neuron", "--x", "0.5", "--w", "1", "--m2", "26"], "ancillas"),
+        (["qft", "--n", "30"], "--n"),
+        (["qft", "--n", "0"], "--n"),
+        (["qpe", "--phi", "0.25", "--m", "13"], "--m"),
+        (["qpe", "--phi", "0.25", "--m", "1000000000"], "--m"),
+        (["qpe", "--phi", "0.25", "--m", "0"], "--m"),
+    ],
+)
+def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["demo", *args])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, combined(result)
+    assert name in combined(result)
 
 
 @pytest.mark.parametrize(

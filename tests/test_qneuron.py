@@ -123,6 +123,9 @@ def test_u_wm_validation():
         build_u_wm(WeightVector(np.array([0.5])), 0, 1)
     with pytest.raises(ValueError):
         build_u_wm(WeightVector(np.array([0.5])), 1, 0)
+    # Refused before its 2^(m-1) + ... + 1 repeated blocks are built.
+    with pytest.raises(ValueError, match="^ancillas = 60 "):
+        build_u_wm(WeightVector(np.array([0.5])), 60, 1)
 
 
 def test_activation_fn_names():

@@ -76,6 +76,10 @@ def test_basis_ket_places_one_amplitude():
     s = basis_ket(3, 5)
     assert s.amps[5] == 1.0
     assert np.count_nonzero(s.amps) == 1
+    # The width is checked before 2^n amplitudes are allocated.
+    for n in (0, MAX_QUBITS + 1, 64):
+        with pytest.raises(ValueError, match="num_qubits"):
+            basis_ket(n, 0)
 
 
 def test_state_vector_validation():
