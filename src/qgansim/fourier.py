@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .statevec import (
+    _MAX_GATE_QUBITS,
     CircuitOp,
     QuantumCircuit,
     StateVector,
@@ -23,31 +24,31 @@ from .statevec import (
     swap,
 )
 
-# Dense transform matrices above this width are refused; registers that
-# large should not go through an explicit gate embedding.
-_MAX_GATE_QUBITS = 12
-
-
 @lru_cache(maxsize=None)
 def qft_matrix(num_qubits: int) -> np.ndarray:
     """Dense QFT matrix F[k, j] = e^(2*i*pi*j*k/2^n) / sqrt(2^n)."""
     if not 1 <= num_qubits <= _MAX_GATE_QUBITS:
         raise ValueError(f"dense QFT matrix limited to {_MAX_GATE_QUBITS} qubits")
     dim = 2**num_qubits
-    jk = np.outer(np.arange(dim), np.arange(dim))
-    mat = np.exp(2j * np.pi * jk / dim) / np.sqrt(dim)
+    # Entries are read from the 2^n roots of unity by jk mod 2^n, so the only
+    # d x d temporary is the int32 exponent table (jk < 2^24 at 12 qubits).
+    roots = np.exp(2j * np.pi * np.arange(dim) / dim) / np.sqrt(dim)
+    jk = np.outer(np.arange(dim, dtype=np.int32), np.arange(dim, dtype=np.int32))
+    jk &= dim - 1
+    mat = roots[jk]
     mat.flags.writeable = False
     return mat
 
 
 def qft_gate(num_qubits: int) -> UnitaryGate:
     """The QFT on `num_qubits` qubits as a dense gate."""
-    return UnitaryGate(num_qubits, qft_matrix(num_qubits))
+    return UnitaryGate(num_qubits, qft_matrix(num_qubits), _exact=True)
 
 
 def inverse_qft_gate(num_qubits: int) -> UnitaryGate:
     """The inverse QFT on `num_qubits` qubits as a dense gate."""
-    return UnitaryGate(num_qubits, qft_matrix(num_qubits).conj().T)
+    # The QFT matrix is symmetric, so its inverse is its conjugate.
+    return UnitaryGate(num_qubits, qft_matrix(num_qubits).conj(), _exact=True)
 
 
 def qft(state: StateVector) -> StateVector:

@@ -12,13 +12,17 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import _kernels
 
 MAX_QUBITS = 20
+
+# Dense 2^n x 2^n matrices (circuit_matrix, fourier's QFT gates) are refused
+# above this width: 2^12 x 2^12 complex entries are already 256 MiB.
+_MAX_GATE_QUBITS = 12
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-10
@@ -82,19 +86,37 @@ class UnitaryGate:
 
     arity: int
     matrix: np.ndarray = field(repr=False)
+    # The package's own factories build matrices that are unitary by
+    # construction and pass True to skip the O(d^3) UU^dag check; a caller's
+    # matrix is checked.
+    _exact: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _exact):
         mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         dim = 2**self.arity
         if mat.shape != (dim, dim):
             raise ValueError(f"gate matrix must be {dim}x{dim}, got {mat.shape}")
-        err = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if err > _UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (max |UU^dag - I| = {err})")
+        if not _exact:
+            err = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
+            # Written so that a NaN error fails too.
+            if not err <= _UNITARY_TOL:
+                raise ValueError(f"matrix is not unitary (max |UU^dag - I| = {err})")
         object.__setattr__(self, "matrix", mat)
-        diag = np.ascontiguousarray(np.diag(mat))
-        is_diag = bool(np.max(np.abs(mat - np.diag(diag))) == 0.0)
+        # Classified from the nonzero pattern, without d x d temporaries. A
+        # unitary with d nonzeros has one per row and column; with every
+        # nonzero equal to 1 it permutes the basis, |j> -> |perm[j]>.
+        diag = np.ascontiguousarray(np.diagonal(mat))
+        nonzeros = np.count_nonzero(mat)
+        is_diag = nonzeros == np.count_nonzero(diag)
+        perm = None
+        if not is_diag and nonzeros == dim:
+            rows, cols = np.nonzero(mat)
+            if np.all(mat[rows, cols] == 1):
+                image = np.empty(dim, dtype=np.intp)
+                image[cols] = rows
+                perm = tuple(image.tolist())
         object.__setattr__(self, "_diag", diag if is_diag else None)
+        object.__setattr__(self, "_perm", perm)
 
 
 @dataclass(frozen=True)
@@ -183,16 +205,49 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
+def _cmask(controls, width):
+    # Control bitmask: qubit q has bit significance width - 1 - q.
+    return sum(1 << (width - 1 - c) for c in controls)
+
+
 def _apply_in_place(amps: np.ndarray, num_qubits: int, op: CircuitOp):
-    # Qubit q has bit significance num_qubits - 1 - q.
-    cmask = 0
-    for c in op.controls:
-        cmask |= 1 << (num_qubits - 1 - c)
-    diag = op.gate._diag
-    if diag is not None:
-        _kernels.apply_diag(amps, diag, op.targets, num_qubits, cmask)
+    gate, cmask = op.gate, _cmask(op.controls, num_qubits)
+    if gate._diag is not None:
+        _kernels.apply_diag(amps, gate._diag, op.targets, num_qubits, cmask)
+    elif gate._perm is not None:
+        _kernels.apply_perm(amps, gate._perm, op.targets, num_qubits, cmask)
     else:
-        _kernels.apply_dense(amps, op.gate.matrix, op.targets, num_qubits, cmask)
+        _kernels.apply_dense(amps, gate.matrix, op.targets, num_qubits, cmask)
+
+
+def _runs(ops):
+    # Maximal runs of consecutive diagonal ops touching at most
+    # _kernels._BLOCK_QUBITS qubits (targets and controls); every other op
+    # is a run of its own. Returns (ops, sorted touched qubits) pairs.
+    runs = []
+    for op in ops:
+        touched = set(op.targets + op.controls)
+        if op.gate._diag is not None and runs and runs[-1][0][-1].gate._diag is not None:
+            run, wires = runs[-1]
+            if len(wires | touched) <= _kernels._BLOCK_QUBITS:
+                run.append(op)
+                wires.update(touched)
+                continue
+        runs.append(([op], touched))
+    return [(run, sorted(wires)) for run, wires in runs]
+
+
+def _fold(run, wires) -> np.ndarray:
+    # The product of a run of diagonal ops as one diagonal over `wires`:
+    # each op is applied to a vector of ones over those qubits.
+    wire = {q: i for i, q in enumerate(wires)}
+    u = len(wires)
+    diag = np.ones(2**u, dtype=np.complex128)
+    for op in run:
+        targets = [wire[q] for q in op.targets]
+        cmask = _cmask([wire[c] for c in op.controls], u)
+        _kernels.apply_diag(diag, op.gate._diag, targets, u, cmask)
+    return diag
 
 
 def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
@@ -208,17 +263,31 @@ def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
 
 
 def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
-    """Left-to-right composition of the circuit's ops."""
+    """Left-to-right composition of the circuit's ops.
+
+    Diagonal gates commute, so each run of two or more consecutive ones is
+    folded into one diagonal and applied in one pass; only rounding differs
+    from applying them one at a time.
+    """
     if circuit.num_qubits != input.num_qubits:
         raise ValueError("circuit and state widths differ")
+    n = circuit.num_qubits
     amps = input.amps.copy()
-    for op in circuit.ops:
-        _apply_in_place(amps, circuit.num_qubits, op)
-    return StateVector(circuit.num_qubits, amps)
+    for run, wires in _runs(circuit.ops):
+        if len(run) == 1:
+            _apply_in_place(amps, n, run[0])
+        else:
+            _kernels.apply_diag(amps, _fold(run, wires), wires, n, 0)
+    return StateVector(n, amps)
 
 
 def circuit_matrix(circuit: QuantumCircuit) -> np.ndarray:
     """Dense matrix of the whole circuit (columns are images of basis kets)."""
+    if circuit.num_qubits > _MAX_GATE_QUBITS:
+        raise ValueError(
+            f"num_qubits = {circuit.num_qubits}: circuit_matrix is limited to "
+            f"{_MAX_GATE_QUBITS} qubits"
+        )
     dim = 2**circuit.num_qubits
     cols = np.eye(dim, dtype=np.complex128)
     for j in range(dim):
@@ -249,12 +318,13 @@ def register_distribution(state: StateVector, num_leading: int) -> np.ndarray:
 def hadamard() -> UnitaryGate:
     """Single-qubit Hadamard."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    return UnitaryGate(1, h)
+    return UnitaryGate(1, h, _exact=True)
 
 
 def pauli_x() -> UnitaryGate:
     """Single-qubit bit flip."""
-    return UnitaryGate(1, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))
+    mat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    return UnitaryGate(1, mat, _exact=True)
 
 
 def ry(theta: float) -> UnitaryGate:
@@ -262,7 +332,8 @@ def ry(theta: float) -> UnitaryGate:
     if not np.isfinite(theta):
         raise ValueError("angle must be finite")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return UnitaryGate(1, np.array([[c, -s], [s, c]], dtype=np.complex128))
+    mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return UnitaryGate(1, mat, _exact=True)
 
 
 def cry(theta: float) -> UnitaryGate:
@@ -272,7 +343,7 @@ def cry(theta: float) -> UnitaryGate:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     mat = np.eye(4, dtype=np.complex128)
     mat[2:, 2:] = [[c, -s], [s, c]]
-    return UnitaryGate(2, mat)
+    return UnitaryGate(2, mat, _exact=True)
 
 
 def crz(alpha: float) -> UnitaryGate:
@@ -281,13 +352,13 @@ def crz(alpha: float) -> UnitaryGate:
         raise ValueError("phase must be finite")
     mat = np.eye(4, dtype=np.complex128)
     mat[3, 3] = np.exp(2j * np.pi * alpha)
-    return UnitaryGate(2, mat)
+    return UnitaryGate(2, mat, _exact=True)
 
 
 def swap() -> UnitaryGate:
     """Two-qubit SWAP."""
     mat = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
-    return UnitaryGate(2, mat)
+    return UnitaryGate(2, mat, _exact=True)
 
 
 def diagonal(phases) -> UnitaryGate:
@@ -296,7 +367,7 @@ def diagonal(phases) -> UnitaryGate:
     if ph.ndim != 1 or ph.size < 2 or ph.size & (ph.size - 1):
         raise ValueError("phases length must be a power of 2, at least 2")
     arity = int(ph.size).bit_length() - 1
-    return UnitaryGate(arity, np.diag(np.exp(2j * np.pi * ph)))
+    return UnitaryGate(arity, np.diag(np.exp(2j * np.pi * ph)), _exact=True)
 
 
 def shift_circuit(circuit: QuantumCircuit, offset: int, new_width: int) -> QuantumCircuit:

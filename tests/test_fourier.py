@@ -17,7 +17,7 @@ from qgansim.fourier import (
     qft_gate,
     qft_matrix,
 )
-from qgansim.statevec import StateVector, basis_ket, circuit_matrix
+from qgansim.statevec import StateVector, basis_ket, circuit_matrix, run_circuit
 
 
 def product_form(j, n):
@@ -46,9 +46,12 @@ def test_qft_matrix_definition():
 
 
 def test_qft_matrix_is_unitary():
-    for n in range(1, 7):
+    # The QFT gates skip UnitaryGate's unitarity check, so it is made here.
+    for n in range(1, 9):
         mat = qft_matrix(n)
         assert_allclose(mat @ mat.conj().T, np.eye(2**n), atol=1e-12)
+        assert np.array_equal(qft_gate(n).matrix, mat)
+        assert np.array_equal(inverse_qft_gate(n).matrix, mat.conj().T)
 
 
 def test_qft_matrix_width_bounds():
@@ -87,6 +90,15 @@ def test_product_form_on_all_basis_states():
         for j in range(2**n):
             out = qft(basis_ket(n, j))
             assert np.max(np.abs(out.amps - product_form(j, n))) < 1e-10
+
+
+def test_gate_level_qft_on_sixteen_qubits_matches_the_fft():
+    # Wide enough that the controlled phases fold into runs of 14 qubits.
+    rng = np.random.default_rng(16)
+    v = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+    state = StateVector(16, v / np.linalg.norm(v))
+    out = run_circuit(qft_circuit(16), state)
+    assert_allclose(out.amps, qft(state).amps, rtol=0, atol=1e-12)
 
 
 def test_inverse_gate_is_adjoint():

@@ -80,7 +80,11 @@ def test_dense_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
     assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,k,c", _CASES)
+# Diagonals over more than two qubits take the one-multiply branch.
+_DIAG_CASES = _CASES + [(n, 4, c) for n in range(4, 8) for c in range(0, min(n - 4, 2) + 1)]
+
+
+@pytest.mark.parametrize("n,k,c", _DIAG_CASES)
 def test_diag_matches_kronecker_matrix(n, k, c):
     rng, amps, targets, controls = _random_case(n, k, c)
     diag = np.exp(2j * np.pi * rng.uniform(size=2**k))
@@ -118,3 +122,24 @@ def test_numpy_dense_leaves_uncontrolled_half_alone():
     before = amps.copy()
     _kernels.apply_dense(amps, mat, (1,), 2, 2)
     assert_allclose(amps, before)
+
+
+def _perm_matrix(perm):
+    # Column j has its 1 in row perm[j]: |j> -> |perm[j]>.
+    mat = np.zeros((len(perm), len(perm)))
+    mat[perm, np.arange(len(perm))] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 1])
+@pytest.mark.parametrize("n,k,c", _CASES)
+def test_perm_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
+    monkeypatch.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+    rng, amps, targets, controls = _random_case(n, k, c)
+    perm = rng.permutation(2**k)
+    while np.array_equal(perm, np.arange(2**k)):
+        perm = rng.permutation(2**k)
+    expected = _full_matrix(n, _perm_matrix(perm), targets, controls) @ amps
+    _kernels.apply_perm(amps, tuple(perm.tolist()), targets, n, _cmask(n, controls))
+    # Amplitudes are moved, not computed: the result is exact.
+    assert_allclose(amps, expected, rtol=0, atol=0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qgansim import _kernels, statevec
 from qgansim.statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -158,6 +159,52 @@ def test_unitary_gate_rejects_nonunitary():
         UnitaryGate(1, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def test_unitary_gate_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryGate(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        hadamard(),
+        pauli_x(),
+        ry(0.7),
+        ry(-3.1),
+        cry(1.3),
+        crz(0.3),
+        swap(),
+        diagonal([0.1, 0.7]),
+        diagonal(np.linspace(0.0, 1.0, 4)),
+        diagonal(np.linspace(0.0, 1.0, 8)),
+    ],
+)
+def test_factory_matrices_are_unitary(gate):
+    # The factories skip the UU^dag check, so it is made here.
+    eye = np.eye(2**gate.arity)
+    assert_allclose(gate.matrix @ gate.matrix.conj().T, eye, rtol=0, atol=1e-12)
+
+
+def _permutation_gate(perm):
+    mat = np.zeros((len(perm), len(perm)))
+    mat[perm, np.arange(len(perm))] = 1.0
+    return UnitaryGate(int(len(perm)).bit_length() - 1, mat)
+
+
+def test_gates_are_classified_from_their_nonzero_pattern():
+    assert crz(0.3)._diag is not None and crz(0.3)._perm is None
+    assert hadamard()._diag is None and hadamard()._perm is None
+    assert cry(0.5)._diag is None and cry(0.5)._perm is None
+    assert pauli_x()._perm == (1, 0)
+    assert swap()._perm == (0, 2, 1, 3)
+    # The identity is diagonal (all entries 1, skipped), not a permutation.
+    assert UnitaryGate(1, np.eye(2))._perm is None
+    assert _permutation_gate([3, 0, 1, 2, 7, 6, 5, 4])._perm == (3, 0, 1, 2, 7, 6, 5, 4)
+    # One nonzero per row and column, but not all of them 1: dense.
+    y = UnitaryGate(1, np.array([[0.0, -1j], [1j, 0.0]]))
+    assert y._diag is None and y._perm is None
+
+
 def test_circuit_op_validation():
     with pytest.raises(ValueError):
         CircuitOp(hadamard(), (0, 1))  # arity mismatch
@@ -221,6 +268,13 @@ def test_run_circuit_rejects_width_mismatch():
     circ = QuantumCircuit(2, (CircuitOp(hadamard(), (0,)),))
     with pytest.raises(ValueError):
         run_circuit(circ, basis_ket(1, 0))
+
+
+def test_circuit_matrix_refuses_wide_circuits_before_allocating():
+    # 2^16 x 2^16 complex entries would be 64 GiB.
+    for n in (13, 16, MAX_QUBITS):
+        with pytest.raises(ValueError, match=f"num_qubits = {n}"):
+            circuit_matrix(QuantumCircuit(n, (CircuitOp(hadamard(), (0,)),)))
 
 
 def test_circuit_matrix_reproduces_composition():
@@ -306,3 +360,62 @@ def test_circuit_matrix_is_unitary(seed):
     ops.append(CircuitOp(ry(float(rng.uniform(0, 7))), (int(rng.integers(0, n)),)))
     mat = circuit_matrix(QuantumCircuit(n, tuple(ops)))
     assert_allclose(mat @ mat.conj().T, np.eye(2**n), atol=1e-10)
+
+
+def _random_op(rng, n):
+    """A random dense, diagonal or permutation op, with or without controls."""
+    while True:
+        kind = int(rng.integers(0, 7))
+        if kind == 0:
+            k = int(rng.integers(1, min(n, 2) + 1))
+            q, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
+            gate = UnitaryGate(k, q)
+        elif kind == 1:
+            gate = [hadamard(), ry(float(rng.uniform(0, 7))), cry(float(rng.uniform(0, 7)))][
+                int(rng.integers(0, 3))
+            ]
+        elif kind == 2:
+            gate = crz(float(rng.uniform()))
+        elif kind in (3, 4):
+            gate = diagonal(rng.uniform(0, 1, 2 ** int(rng.integers(1, 4))))
+        elif kind == 5:
+            gate = [pauli_x(), swap()][int(rng.integers(0, 2))]
+        else:
+            gate = _permutation_gate(rng.permutation(8))
+        if gate.arity <= n:
+            break
+    wires = [int(w) for w in rng.permutation(n)]
+    n_ctrl = int(rng.integers(0, n - gate.arity + 1))
+    return CircuitOp(gate, tuple(wires[: gate.arity]), tuple(wires[gate.arity :][:n_ctrl]))
+
+
+@pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 2])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_run_circuit_matches_op_by_op_application(block_qubits, seed):
+    # block_qubits=2 splits diagonal runs after two qubits and applies dense
+    # and permutation gates in sub-views of four amplitudes.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        ops = tuple(_random_op(rng, n) for _ in range(int(rng.integers(1, 30))))
+        state = random_state(rng, n)
+        expected = state
+        for op in ops:
+            expected = apply_op(expected, op)
+        out = run_circuit(QuantumCircuit(n, ops), state)
+    assert_allclose(out.amps, expected.amps, rtol=0, atol=1e-12)
+
+
+def test_diagonal_runs_end_at_the_block_width():
+    # The controlled-phase sweep over 20 wires: op q couples wires q and
+    # q + 1, so a run stops when a 15th wire would join it.
+    ops = [CircuitOp(diagonal([0.0, 0.1 * q]), (q + 1,), (q,)) for q in range(19)]
+    runs = statevec._runs(ops)
+    assert [len(run) for run, _ in runs] == [13, 6]
+    assert [wires for _, wires in runs] == [list(range(14)), list(range(13, 20))]
+    # A dense gate ends a run and is a run of its own.
+    runs = statevec._runs(ops[:5] + [CircuitOp(hadamard(), (0,))] + ops[5:])
+    assert [len(run) for run, _ in runs] == [5, 1, 13, 1]
+    assert [wires for _, wires in runs] == [list(range(6)), [0], list(range(5, 19)), [18, 19]]
