@@ -18,21 +18,17 @@ from math import ceil, log2
 
 import numpy as np
 
-from .fourier import inverse_qft_gate
-from .qneuron import ActivationFn, WeightVector, activation_stage, activation_table, build_u_wm
+from .qneuron import ActivationFn, WeightVector, activation_table, neuron_circuit
 from .qneuron import signed_decode, sigmoid_activation
 from .statevec import (
     MAX_QUBITS,
-    CircuitOp,
     Projector,
     QuantumCircuit,
     StateVector,
     basis_ket,
     check_int,
-    hadamard,
     outcome_probability,
     run_circuit,
-    shift_circuit,
     tensor,
 )
 
@@ -112,15 +108,8 @@ def build_discriminator(
     """The full perceptron circuit on m1 + m2 + n qubits."""
     if w.w.size != n:
         raise ValueError(f"need one weight per data qubit ({n}), got {w.w.size}")
-    sigma = cfg.check_width(n)
-    m1, m2 = cfg.m1, cfg.m2
-    width = m1 + m2 + n
-    ops = [CircuitOp(hadamard(), (m1 + s,)) for s in range(m2)]
     # Precision-1 inputs already halve the phase; weights pass unscaled.
-    ops.extend(shift_circuit(build_u_wm(w, m2, 1), m1, width).ops)
-    ops.append(CircuitOp(inverse_qft_gate(m2), tuple(range(m1, m1 + m2))))
-    ops.extend(activation_stage(sigma, m1).ops)
-    return QuantumCircuit(width, tuple(ops))
+    return neuron_circuit(w, cfg.check_width(n), cfg.m1, 1)
 
 
 def label_real_probability(

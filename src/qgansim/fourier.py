@@ -2,29 +2,30 @@
 
 The QFT maps amplitudes by output_k = 2^(-n/2) * sum_j e^(2*i*pi*j*k/2^n)
 input_j. Whole-state transforms go through the FFT, which evaluates that
-exact sum; small dense matrices are exposed as gates so the transform can
-be embedded into wider circuits (ancilla registers).
+exact sum. Inside wider circuits (the ancilla registers of phase
+estimation) the transform is built from gates: Hadamards, controlled
+phases and a bit reversal. The dense matrix is kept only as the
+reference definition the circuits are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .statevec import (
     _MAX_GATE_QUBITS,
+    MAX_QUBITS,
     CircuitOp,
     QuantumCircuit,
     StateVector,
-    UnitaryGate,
     crz,
     hadamard,
     swap,
 )
 
-@lru_cache(maxsize=None)
+
 def qft_matrix(num_qubits: int) -> np.ndarray:
     """Dense QFT matrix F[k, j] = e^(2*i*pi*j*k/2^n) / sqrt(2^n)."""
     if not 1 <= num_qubits <= _MAX_GATE_QUBITS:
@@ -35,20 +36,7 @@ def qft_matrix(num_qubits: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(dim) / dim) / np.sqrt(dim)
     jk = np.outer(np.arange(dim, dtype=np.int32), np.arange(dim, dtype=np.int32))
     jk &= dim - 1
-    mat = roots[jk]
-    mat.flags.writeable = False
-    return mat
-
-
-def qft_gate(num_qubits: int) -> UnitaryGate:
-    """The QFT on `num_qubits` qubits as a dense gate."""
-    return UnitaryGate(num_qubits, qft_matrix(num_qubits), _exact=True)
-
-
-def inverse_qft_gate(num_qubits: int) -> UnitaryGate:
-    """The inverse QFT on `num_qubits` qubits as a dense gate."""
-    # The QFT matrix is symmetric, so its inverse is its conjugate.
-    return UnitaryGate(num_qubits, qft_matrix(num_qubits).conj(), _exact=True)
+    return roots[jk]
 
 
 def qft(state: StateVector) -> StateVector:
@@ -62,21 +50,33 @@ def inverse_qft(state: StateVector) -> StateVector:
     return StateVector(state.num_qubits, np.fft.fft(state.amps, norm="ortho"))
 
 
-def qft_circuit(num_qubits: int) -> QuantumCircuit:
+def qft_circuit(num_qubits: int, *, _sign: float = 1.0) -> QuantumCircuit:
     """Gate-level QFT: Hadamards, controlled phases, and a bit reversal.
 
-    Provided for inspection alongside the dense transform; produces the
-    same unitary as qft_gate(num_qubits).
+    Its unitary is qft_matrix(num_qubits); on a whole state it agrees with
+    qft() up to rounding.
     """
+    # Checked before the n(n-1)/2 controlled phases are built.
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
     ops = []
     for q in range(num_qubits):
         ops.append(CircuitOp(hadamard(), (q,)))
         for t in range(q + 1, num_qubits):
-            # Phase 2*pi/2^(t-q+1) on |1>|1> of (control t, target q).
-            ops.append(CircuitOp(crz(2.0 ** -(t - q + 1)), (q, t)))
+            # Phase 2*pi/2^(t-q+1), times _sign, on |1>|1> of (control t, target q).
+            ops.append(CircuitOp(crz(_sign * 2.0 ** -(t - q + 1)), (q, t)))
     for q in range(num_qubits // 2):
         ops.append(CircuitOp(swap(), (q, num_qubits - 1 - q)))
     return QuantumCircuit(num_qubits, tuple(ops))
+
+
+def inverse_qft_circuit(num_qubits: int) -> QuantumCircuit:
+    """Gate-level inverse QFT: qft_circuit with every phase negated.
+
+    The QFT matrix is symmetric, so its inverse is its conjugate, and the
+    conjugate of a product of gates is the product of their conjugates.
+    """
+    return qft_circuit(num_qubits, _sign=-1.0)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 The ancilla register (most significant qubits) is prepared with
 Hadamards, each ancilla controls the unitary raised to its bit weight,
 and an inverse QFT turns the accumulated phases into an m-bit estimate.
+estimation_circuit builds that construction for every phase estimation
+in the package, the quantum neuron's two included.
 """
 
 from __future__ import annotations
@@ -12,16 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import inverse_qft_gate
+from .fourier import inverse_qft_circuit
 from .statevec import (
+    MAX_QUBITS,
     CircuitOp,
     QuantumCircuit,
     StateVector,
     UnitaryGate,
     basis_ket,
+    check_int,
+    check_real,
     hadamard,
     register_distribution,
     run_circuit,
+    shift_circuit,
     tensor,
 )
 
@@ -30,10 +36,10 @@ _EIGEN_TOL = 1e-8
 
 def size_ancillas(accuracy_bits: int, failure_prob: float) -> int:
     """Ancilla count m = accuracy_bits + ceil(log2(2 + 1/(2*eps)))."""
-    if accuracy_bits < 1:
-        raise ValueError("accuracy_bits must be at least 1")
+    check_int("accuracy_bits", accuracy_bits, 1)
+    check_real("failure_prob", failure_prob)
     if not 0.0 < failure_prob < 1.0:
-        raise ValueError(f"failure_prob must be in (0, 1), got {failure_prob}")
+        raise ValueError(f"failure_prob = {failure_prob!r} is not in (0, 1)")
     return accuracy_bits + math.ceil(math.log2(2.0 + 1.0 / (2.0 * failure_prob)))
 
 
@@ -46,15 +52,28 @@ class QpeConfig:
     failure_prob: float
 
     def __post_init__(self):
-        if self.ancillas < 1:
-            raise ValueError("ancillas must be at least 1")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ValueError("failure_prob must be in (0, 1)")
+        check_int("ancillas", self.ancillas, 1)
+        size_ancillas(self.accuracy_bits, self.failure_prob)  # checks both
 
     @classmethod
     def from_accuracy(cls, accuracy_bits: int, failure_prob: float) -> "QpeConfig":
         m = size_ancillas(accuracy_bits, failure_prob)
         return cls(ancillas=m, accuracy_bits=accuracy_bits, failure_prob=failure_prob)
+
+
+def estimation_circuit(width: int, first: int, m: int, kernel_ops) -> QuantumCircuit:
+    """Phase estimation on register qubits first .. first+m-1 of `width`.
+
+    Hadamards on the register, then `kernel_ops`, in which register qubit
+    first+s controls the kernel raised to its bit weight 2^(m-1-s), then
+    the gate-level inverse QFT on the register (Cleve et al.,
+    quant-ph/9708016).
+    """
+    inverse = shift_circuit(inverse_qft_circuit(m), first, width)
+    ops = [CircuitOp(hadamard(), (first + s,)) for s in range(m)]
+    ops.extend(kernel_ops)
+    ops.extend(inverse.ops)
+    return QuantumCircuit(width, tuple(ops))
 
 
 def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
@@ -69,37 +88,28 @@ def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
 
 def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
     """Estimation circuit: H's, controlled powers, inverse QFT on ancillas."""
-    m = ancillas
-    # First, so an oversized register is refused before the m squarings.
-    inverse = inverse_qft_gate(m)
     k = unitary.arity
-    width = m + k
-    eig_targets = tuple(range(m, width))
-    ops = [CircuitOp(hadamard(), (s,)) for s in range(m)]
-    power = unitary.matrix
+    # First, so an oversized register is refused before the m squarings.
+    check_int("ancillas", ancillas, 1, MAX_QUBITS - k)
+    m = ancillas
+    eig_targets = tuple(range(m, m + k))
     # Ancilla s has bit weight 2^(m-1-s) in the register value, so it
     # controls U^(2^(m-1-s)); powers come from repeated matrix squaring.
-    powers = [power]
+    powers = [unitary.matrix]
     for _ in range(m - 1):
         powers.append(powers[-1] @ powers[-1])
-    for s in range(m):
-        gate = UnitaryGate(k, powers[m - 1 - s])
-        ops.append(CircuitOp(gate, eig_targets, (s,)))
-    ops.append(CircuitOp(inverse, tuple(range(m))))
-    return QuantumCircuit(width, tuple(ops))
+    kernel = [CircuitOp(UnitaryGate(k, powers[m - 1 - s]), eig_targets, (s,)) for s in range(m)]
+    return estimation_circuit(m + k, 0, m, kernel)
 
 
 def qpe_distribution(
     unitary: UnitaryGate, eigenstate: StateVector, ancillas: int
 ) -> np.ndarray:
     """Exact measurement distribution over the 2^m ancilla outcomes."""
-    if ancillas < 1:
-        raise ValueError("ancillas must be at least 1")
     _check_eigenstate(unitary, eigenstate)
     circuit = qpe_circuit(unitary, ancillas)
     initial = tensor(basis_ket(ancillas, 0), eigenstate)
-    final = run_circuit(circuit, initial)
-    return register_distribution(final, ancillas)
+    return register_distribution(run_circuit(circuit, initial), ancillas)
 
 
 def estimate_phase(

@@ -17,16 +17,17 @@ from math import ceil, log2
 
 import numpy as np
 
-from .fourier import encode_fraction, inverse_qft_gate
+from .fourier import encode_fraction
+from .phase_estimation import estimation_circuit
 from .statevec import (
     MAX_QUBITS,
     CircuitOp,
     QuantumCircuit,
     StateVector,
     basis_ket,
+    check_int,
     crz,
     diagonal,
-    hadamard,
     register_distribution,
     run_circuit,
     shift_circuit,
@@ -134,18 +135,14 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
     """Controlled-phase block tagging ancilla value j with e^(2*i*pi*j*t/2^m).
 
     For each ancilla l (1-based from the most significant), data component
-    j, and digit k, a crz(w_j / 2^(m+k)) couples the pair; the block for
-    ancilla l is repeated 2^(m-l) times so the phase matches the ancilla's
-    bit weight.
+    j, and digit k, one crz(w_j / 2^(l+k)) couples the pair: the phase
+    w_j / 2^(m+k) raised to the ancilla's bit weight 2^(m-l).
     """
-    if ancillas < 1:
-        raise ValueError("ancillas must be at least 1")
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
+    check_int("ancillas", ancillas, 1)
+    check_int("precision", precision, 1)
     m = ancillas
     n = w.w.size
     width = m + n * precision
-    # Checked before the 2^(m-1) + ... + 1 repeated blocks are built.
     if width > MAX_QUBITS:
         raise ValueError(
             f"ancillas = {m} with {n} inputs of {precision} digits needs "
@@ -153,27 +150,19 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
         )
     ops = []
     for l in range(1, m + 1):
-        for _ in range(2 ** (m - l)):
-            for j in range(n):
-                for k in range(1, precision + 1):
-                    data_qubit = m + j * precision + (k - 1)
-                    ops.append(
-                        CircuitOp(crz(w.w[j] / 2 ** (m + k)), (l - 1, data_qubit))
-                    )
+        for j in range(n):
+            for k in range(1, precision + 1):
+                data_qubit = m + j * precision + (k - 1)
+                ops.append(CircuitOp(crz(w.w[j] / 2 ** (l + k)), (l - 1, data_qubit)))
     return QuantumCircuit(width, tuple(ops))
 
 
-def _ancilla_distribution(w: WeightVector, encoded: EncodedInput, m: int) -> np.ndarray:
+def _ancilla_distribution(x, w: WeightVector, m: int, precision: int) -> np.ndarray:
     """Run H's, U_wm, inverse QFT; return the ancilla outcome distribution."""
-    n_data = encoded.register.num_qubits
-    width = m + n_data
-    ops = [CircuitOp(hadamard(), (s,)) for s in range(m)]
-    ops.extend(build_u_wm(w, m, encoded.precision).ops)
-    ops.append(CircuitOp(inverse_qft_gate(m), tuple(range(m))))
-    circuit = QuantumCircuit(width, tuple(ops))
-    initial = tensor(basis_ket(m, 0), encoded.register)
-    final = run_circuit(circuit, initial)
-    return register_distribution(final, m)
+    u_wm = build_u_wm(w, m, precision)
+    circuit = estimation_circuit(u_wm.num_qubits, 0, m, u_wm.ops)
+    initial = tensor(basis_ket(m, 0), encode_input(x, precision).register)
+    return register_distribution(run_circuit(circuit, initial), m)
 
 
 def qip(x, w: WeightVector, ancillas: int, precision: int):
@@ -183,8 +172,7 @@ def qip(x, w: WeightVector, ancillas: int, precision: int):
     index on ties) and the exact outcome distribution. Integer products
     below 2^m are recovered with probability 1.
     """
-    encoded = encode_input(x, precision)
-    dist = _ancilla_distribution(w, encoded, ancillas)
+    dist = _ancilla_distribution(x, w, ancillas, precision)
     return int(np.argmax(dist)), dist
 
 
@@ -209,8 +197,7 @@ def qip_signed(x, w: WeightVector, ancillas: int, precision: int) -> float:
     if ancillas < required:
         raise ValueError(f"need ancillas >= {required} for n = {n} inputs")
     halved = WeightVector(np.asarray(w.w) / 2.0)
-    encoded = encode_input(x, precision)
-    dist = _ancilla_distribution(halved, encoded, ancillas)
+    dist = _ancilla_distribution(x, halved, ancillas, precision)
     return float(signed_decode(int(np.argmax(dist)), ancillas))
 
 
@@ -229,16 +216,24 @@ def activation_stage(sigma: np.ndarray, ancillas: int) -> QuantumCircuit:
     """build_activation from the table sigma[x] of activation values in [0, 1)."""
     m1 = ancillas
     width = m1 + sigma.size.bit_length() - 1  # sigma holds 2^q values
-    input_targets = tuple(range(m1, width))
-    ops = [CircuitOp(hadamard(), (s,)) for s in range(m1)]
-    for s in range(m1):
-        # Ancilla s controls the 2^(m1-1-s) power, a diagonal with the
-        # phases scaled by that bit weight.
-        ops.append(
-            CircuitOp(diagonal(sigma * 2 ** (m1 - 1 - s)), input_targets, (s,))
-        )
-    ops.append(CircuitOp(inverse_qft_gate(m1), tuple(range(m1))))
-    return QuantumCircuit(width, tuple(ops))
+    # Ancilla s controls the 2^(m1-1-s) power, a diagonal with the phases
+    # scaled by that bit weight.
+    kernel = [
+        CircuitOp(diagonal(sigma * 2 ** (m1 - 1 - s)), range(m1, width), (s,)) for s in range(m1)
+    ]
+    return estimation_circuit(width, 0, m1, kernel)
+
+
+def neuron_circuit(w: WeightVector, sigma: np.ndarray, m1: int, precision: int) -> QuantumCircuit:
+    """The perceptron on [m1 activation | m2 inner product | data] qubits.
+
+    `sigma` holds the activations in [0, 1) of the 2^m2 register values.
+    """
+    m2 = sigma.size.bit_length() - 1
+    u_wm = build_u_wm(w, m2, precision)
+    width = m1 + u_wm.num_qubits
+    product = estimation_circuit(width, m1, m2, shift_circuit(u_wm, m1, width).ops)
+    return QuantumCircuit(width, product.ops + activation_stage(sigma, m1).ops)
 
 
 def neuron_forward(
@@ -251,15 +246,15 @@ def neuron_forward(
     register, then estimate fn of that register's value on the m1
     register. Only the activation register is measured.
     """
-    encoded = encode_input(x, precision)
-    n_data = encoded.register.num_qubits
-    width = m1 + m2 + n_data
-    ops = [CircuitOp(hadamard(), (m1 + s,)) for s in range(m2)]
-    u_wm = shift_circuit(build_u_wm(w, m2, precision), m1, width)
-    ops.extend(u_wm.ops)
-    ops.append(CircuitOp(inverse_qft_gate(m2), tuple(range(m1, m1 + m2))))
-    ops.extend(build_activation(fn, m2, m1).ops)
-    circuit = QuantumCircuit(width, tuple(ops))
-    initial = tensor(basis_ket(m1 + m2, 0), encoded.register)
-    final = run_circuit(circuit, initial)
-    return register_distribution(final, m1)
+    check_int("m1", m1, 1)
+    check_int("m2", m2, 1)
+    width = m1 + m2 + w.w.size * precision
+    # Checked before the 2^m2 activation table is built.
+    if width > MAX_QUBITS:
+        raise ValueError(
+            f"ancillas m1 = {m1} and m2 = {m2} with {w.w.size} inputs of {precision} "
+            f"digits need {width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
+        )
+    circuit = neuron_circuit(w, activation_table(fn, np.arange(2**m2)), m1, precision)
+    initial = tensor(basis_ket(m1 + m2, 0), encode_input(x, precision).register)
+    return register_distribution(run_circuit(circuit, initial), m1)

@@ -20,8 +20,9 @@ from . import _kernels
 
 MAX_QUBITS = 20
 
-# Dense 2^n x 2^n matrices (circuit_matrix, fourier's QFT gates) are refused
-# above this width: 2^12 x 2^12 complex entries are already 256 MiB.
+# Dense 2^n x 2^n matrices (circuit_matrix, diagonal gates, fourier's
+# reference QFT matrix) are refused above this width: 2^12 x 2^12 complex
+# entries are already 256 MiB.
 _MAX_GATE_QUBITS = 12
 
 _NORM_TOL = 1e-10
@@ -367,6 +368,8 @@ def diagonal(phases) -> UnitaryGate:
     if ph.ndim != 1 or ph.size < 2 or ph.size & (ph.size - 1):
         raise ValueError("phases length must be a power of 2, at least 2")
     arity = int(ph.size).bit_length() - 1
+    if arity > _MAX_GATE_QUBITS:  # before the dense matrix is allocated
+        raise ValueError(f"diagonal gate on {arity} qubits, over the limit of {_MAX_GATE_QUBITS}")
     return UnitaryGate(arity, np.diag(np.exp(2j * np.pi * ph)), _exact=True)
 
 

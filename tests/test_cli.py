@@ -2,7 +2,10 @@
 under a fixed seed, config validation, and the demo subcommands."""
 
 import json
+import shlex
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +289,44 @@ def test_demo_vector_parse_error(runner):
     assert result.exit_code == 2
 
 
+def test_demo_qpe_at_twelve_ancillas_stays_small(runner):
+    # The inverse QFT is applied gate by gate, so the peak is the 2^13
+    # amplitudes and their copies, not a dense 2^12 x 2^12 matrix (256 MiB).
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["demo", "qpe", "--phi", "0.25", "--m", "12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, combined(result)
+    assert json.loads(result.output) == {"outcome": 1024, "prob": pytest.approx(1.0, abs=1e-12)}
+    assert peak < 16 * 2**20
+
+
+README_DEMOS = [
+    shlex.split(line)[1:]
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("qgansim demo ")
+]
+
+
+def test_readme_lists_the_four_demos():
+    assert sorted(args[1] for args in README_DEMOS) == ["neuron", "qft", "qip", "qpe"]
+
+
+@pytest.mark.parametrize("args", README_DEMOS, ids=lambda args: args[1])
+def test_readme_demo_lines_run(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, combined(result)
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert rows
+
+
+NEURON_M1_1 = [
+    "neuron", "--x", "0.5", "--w", "0.5", "--activation", "identity", "--m1", "1", "-p", "1",
+]
+
+
 @pytest.mark.parametrize(
     "args, name",
     [
@@ -293,9 +334,14 @@ def test_demo_vector_parse_error(runner):
         (["neuron", "--x", "0.5", "--w", "1", "--m2", "26"], "ancillas"),
         (["qft", "--n", "30"], "--n"),
         (["qft", "--n", "0"], "--n"),
-        (["qpe", "--phi", "0.25", "--m", "13"], "--m"),
+        # Width 21: one over the circuit limit with the eigenstate qubit.
+        (["qpe", "--phi", "0.25", "--m", "20"], "--m"),
         (["qpe", "--phi", "0.25", "--m", "1000000000"], "--m"),
         (["qpe", "--phi", "0.25", "--m", "0"], "--m"),
+        # Within the circuit limit, but each activation diagonal would be a
+        # dense 2^m2 x 2^m2 matrix.
+        (NEURON_M1_1 + ["--m2", "13"], "diagonal gate on 13 qubits"),
+        (NEURON_M1_1 + ["--m2", "17"], "diagonal gate on 17 qubits"),
     ],
 )
 def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name):

@@ -1,6 +1,8 @@
 """QFT tests: matrix definition, round trips, the gate-level circuit, the
 product-form factorization, and binary-fraction encoding."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,12 @@ from qgansim.fourier import (
     BinaryFraction,
     encode_fraction,
     inverse_qft,
-    inverse_qft_gate,
+    inverse_qft_circuit,
     qft,
     qft_circuit,
-    qft_gate,
     qft_matrix,
 )
-from qgansim.statevec import StateVector, basis_ket, circuit_matrix, run_circuit
+from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket, circuit_matrix, run_circuit
 
 
 def product_form(j, n):
@@ -46,12 +47,9 @@ def test_qft_matrix_definition():
 
 
 def test_qft_matrix_is_unitary():
-    # The QFT gates skip UnitaryGate's unitarity check, so it is made here.
     for n in range(1, 9):
         mat = qft_matrix(n)
         assert_allclose(mat @ mat.conj().T, np.eye(2**n), atol=1e-12)
-        assert np.array_equal(qft_gate(n).matrix, mat)
-        assert np.array_equal(inverse_qft_gate(n).matrix, mat.conj().T)
 
 
 def test_qft_matrix_width_bounds():
@@ -101,10 +99,29 @@ def test_gate_level_qft_on_sixteen_qubits_matches_the_fft():
     assert_allclose(out.amps, qft(state).amps, rtol=0, atol=1e-12)
 
 
-def test_inverse_gate_is_adjoint():
-    g = qft_gate(3)
-    ig = inverse_qft_gate(3)
-    assert_allclose(ig.matrix @ g.matrix, np.eye(8), atol=1e-12)
+def test_gate_level_inverse_circuit_is_the_conjugate_matrix():
+    # F is symmetric and unitary, so conj(F) is its inverse.
+    for n in range(1, 7):
+        assert_allclose(
+            circuit_matrix(inverse_qft_circuit(n)), qft_matrix(n).conj(), rtol=0, atol=1e-10
+        )
+
+
+def test_gate_level_inverse_qft_on_sixteen_qubits_matches_the_fft():
+    rng = np.random.default_rng(61)
+    v = rng.normal(size=2**16) + 1j * rng.normal(size=2**16)
+    state = StateVector(16, v / np.linalg.norm(v))
+    out = run_circuit(inverse_qft_circuit(16), state)
+    assert_allclose(out.amps, inverse_qft(state).amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [qft_circuit, inverse_qft_circuit])
+@pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 10**9])
+def test_gate_level_circuits_refuse_widths_up_front(build, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="num_qubits"):
+        build(n)
+    assert time.perf_counter() - start < 0.1
 
 
 @given(st.integers(0, 2**32 - 1))

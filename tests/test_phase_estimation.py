@@ -11,7 +11,8 @@ from qgansim.phase_estimation import (
     qpe_distribution,
     size_ancillas,
 )
-from qgansim.statevec import UnitaryGate, basis_ket, diagonal
+from qgansim.statevec import MAX_QUBITS, UnitaryGate, basis_ket, diagonal
+from test_qneuron import closed_form_register
 
 
 def phase_unitary(phi):
@@ -106,3 +107,40 @@ def test_estimate_lives_on_the_register_grid():
 def test_wrapped_phase_estimates_near_one():
     dist = qpe_distribution(phase_unitary(15.0 / 16.0), basis_ket(1, 1), 4)
     assert abs(dist[15] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("m", [13, 14, 15, 16])
+def test_wide_registers_match_the_closed_form(m):
+    # Wider than any dense gate may be (12 qubits): the inverse QFT runs gate by gate.
+    phi = 0.3
+    dist = qpe_distribution(phase_unitary(phi), basis_ket(1, 1), m)
+    assert np.max(np.abs(dist - closed_form_register(phi * 2**m, m))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"ancillas": 2.5}, "ancillas"),
+        ({"ancillas": True}, "ancillas"),
+        ({"ancillas": 0}, "ancillas"),
+        ({"ancillas": "4"}, "ancillas"),
+        ({"accuracy_bits": -4}, "accuracy_bits"),
+        ({"accuracy_bits": 0}, "accuracy_bits"),
+        ({"accuracy_bits": 1.0}, "accuracy_bits"),
+        ({"failure_prob": 0.0}, "failure_prob"),
+        ({"failure_prob": 1.0}, "failure_prob"),
+        ({"failure_prob": float("nan")}, "failure_prob"),
+        ({"failure_prob": "0.1"}, "failure_prob"),
+        ({"failure_prob": True}, "failure_prob"),
+    ],
+)
+def test_config_rejects_bad_settings_naming_the_key(kwargs, key):
+    settings = {"ancillas": 4, "accuracy_bits": 2, "failure_prob": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        QpeConfig(**settings)
+
+
+@pytest.mark.parametrize("ancillas", [0, MAX_QUBITS, 10**9, 2.0, True])
+def test_circuit_refuses_bad_registers_before_the_squarings(ancillas):
+    with pytest.raises(ValueError, match="^ancillas = "):
+        qpe_circuit(phase_unitary(0.5), ancillas)

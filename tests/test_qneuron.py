@@ -103,13 +103,13 @@ def test_qip_signed_rejects_narrow_register():
         qip_signed([0.5, 0.5, 0.5], WeightVector(np.ones(3)), 1, 1)
 
 
-def test_u_wm_phase_profile():
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_u_wm_phase_profile(m):
     # The block must tag ancilla value j with phase j * t / 2^m; check the
     # accumulated diagonal directly on a 1-feature, 1-digit instance.
     from qgansim.statevec import basis_ket, run_circuit, tensor
 
     w = WeightVector(np.array([0.8]))
-    m = 2
     circ = build_u_wm(w, m, 1)
     for j in range(2**m):
         start = tensor(basis_ket(m, j), basis_ket(1, 1))
@@ -118,12 +118,18 @@ def test_u_wm_phase_profile():
         assert abs(out.amps[2 * j + 1] - expect) < 1e-12
 
 
+@pytest.mark.parametrize("m, n, p", [(1, 1, 1), (3, 2, 2), (5, 3, 1), (12, 2, 3)])
+def test_u_wm_has_one_phase_per_ancilla_input_and_digit(m, n, p):
+    circ = build_u_wm(WeightVector(np.full(n, 0.3)), m, p)
+    assert len(circ.ops) == m * n * p
+
+
 def test_u_wm_validation():
     with pytest.raises(ValueError):
         build_u_wm(WeightVector(np.array([0.5])), 0, 1)
     with pytest.raises(ValueError):
         build_u_wm(WeightVector(np.array([0.5])), 1, 0)
-    # Refused before its 2^(m-1) + ... + 1 repeated blocks are built.
+    # Refused before any phase is built.
     with pytest.raises(ValueError, match="^ancillas = 60 "):
         build_u_wm(WeightVector(np.array([0.5])), 60, 1)
 
