@@ -24,6 +24,7 @@ from .generator import generate_amps
 from .phase_estimation import qpe_distribution
 from .qneuron import (
     WeightVector,
+    check_neuron_width,
     neuron_forward,
     qip,
     scaled_identity_activation,
@@ -249,7 +250,10 @@ def demo_qft(n: int, basis: int) -> None:
 @click.option("--m", "ancillas", type=int, default=3)
 def demo_qpe(phi: float, ancillas: int) -> None:
     """Phase estimation of diag(1, e^{2 pi i phi}) on eigenstate |1>."""
-    unitary = diagonal([0.0, phi])
+    try:
+        unitary = diagonal([0.0, phi])
+    except ValueError as exc:
+        raise click.UsageError(f"--phi = {phi}: {exc}")
     try:
         dist = qpe_distribution(unitary, basis_ket(1, 1), ancillas)
     except ValueError as exc:
@@ -300,6 +304,8 @@ def demo_neuron(
     if x.size != w.size:
         raise click.UsageError("--x and --w must have equal length")
     try:
+        # Before the activation, which scales by 2^m2 and tabulates 2^m2 values.
+        check_neuron_width(m1, m2, x.size, precision)
         fn = _activation(activation, m1, m2)
         dist = neuron_forward(x, WeightVector(w), fn, m1, m2, precision)
     except ValueError as exc:

@@ -21,6 +21,7 @@ from .statevec import (
     QuantumCircuit,
     StateVector,
     UnitaryGate,
+    apply_op,
     basis_ket,
     check_int,
     check_real,
@@ -77,13 +78,22 @@ def estimation_circuit(width: int, first: int, m: int, kernel_ops) -> QuantumCir
 
 
 def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
-    if 2**eigenstate.num_qubits != unitary.matrix.shape[0]:
+    if eigenstate.num_qubits != unitary.arity:
         raise ValueError("eigenstate width does not match the unitary")
-    image = unitary.matrix @ eigenstate.amps
+    image = apply_op(eigenstate, CircuitOp(unitary, range(unitary.arity))).amps
     lam = np.vdot(eigenstate.amps, image)
     residual = np.linalg.norm(image - lam * eigenstate.amps)
     if residual > _EIGEN_TOL:
         raise ValueError(f"state is not an eigenvector (residual {residual:g})")
+
+
+def _squared(gate: UnitaryGate) -> UnitaryGate:
+    # U^2 in the form U is held in, so powers of a diagonal stay diagonal.
+    if gate.diag is not None:
+        return UnitaryGate(gate.arity, diag=gate.diag * gate.diag)
+    if gate.perm is not None:
+        return UnitaryGate(gate.arity, perm=tuple(gate.perm[j] for j in gate.perm))
+    return UnitaryGate(gate.arity, gate.matrix @ gate.matrix)
 
 
 def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
@@ -94,11 +104,11 @@ def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
     m = ancillas
     eig_targets = tuple(range(m, m + k))
     # Ancilla s has bit weight 2^(m-1-s) in the register value, so it
-    # controls U^(2^(m-1-s)); powers come from repeated matrix squaring.
-    powers = [unitary.matrix]
+    # controls U^(2^(m-1-s)); powers come from repeated squaring.
+    powers = [unitary]
     for _ in range(m - 1):
-        powers.append(powers[-1] @ powers[-1])
-    kernel = [CircuitOp(UnitaryGate(k, powers[m - 1 - s]), eig_targets, (s,)) for s in range(m)]
+        powers.append(_squared(powers[-1]))
+    kernel = [CircuitOp(powers[m - 1 - s], eig_targets, (s,)) for s in range(m)]
     return estimation_circuit(m + k, 0, m, kernel)
 
 

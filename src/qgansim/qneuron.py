@@ -236,6 +236,22 @@ def neuron_circuit(w: WeightVector, sigma: np.ndarray, m1: int, precision: int) 
     return QuantumCircuit(width, product.ops + activation_stage(sigma, m1).ops)
 
 
+def check_neuron_width(m1: int, m2: int, inputs: int, precision: int) -> None:
+    """Raise unless the neuron on [m1 | m2 | inputs x precision] qubits fits.
+
+    Cheap, so callers check before building the 2^m2 activation table.
+    """
+    check_int("m1", m1, 1)
+    check_int("m2", m2, 1)
+    check_int("precision", precision, 1)
+    width = m1 + m2 + inputs * precision
+    if width > MAX_QUBITS:
+        raise ValueError(
+            f"ancillas m1 = {m1} and m2 = {m2} with {inputs} inputs of {precision} "
+            f"digits need {width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
+        )
+
+
 def neuron_forward(
     x, w: WeightVector, fn: ActivationFn, m1: int, m2: int, precision: int
 ) -> np.ndarray:
@@ -246,15 +262,7 @@ def neuron_forward(
     register, then estimate fn of that register's value on the m1
     register. Only the activation register is measured.
     """
-    check_int("m1", m1, 1)
-    check_int("m2", m2, 1)
-    width = m1 + m2 + w.w.size * precision
-    # Checked before the 2^m2 activation table is built.
-    if width > MAX_QUBITS:
-        raise ValueError(
-            f"ancillas m1 = {m1} and m2 = {m2} with {w.w.size} inputs of {precision} "
-            f"digits need {width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
-        )
+    check_neuron_width(m1, m2, w.w.size, precision)
     circuit = neuron_circuit(w, activation_table(fn, np.arange(2**m2)), m1, precision)
     initial = tensor(basis_ket(m1 + m2, 0), encode_input(x, precision).register)
     return register_distribution(run_circuit(circuit, initial), m1)

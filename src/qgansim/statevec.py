@@ -12,7 +12,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from . import _kernels
 
 MAX_QUBITS = 20
 
-# Dense 2^n x 2^n matrices (circuit_matrix, diagonal gates, fourier's
-# reference QFT matrix) are refused above this width: 2^12 x 2^12 complex
-# entries are already 256 MiB.
+# Dense 2^n x 2^n matrices (circuit_matrix and fourier's reference QFT
+# matrix) are refused above this width: 2^12 x 2^12 complex entries are
+# already 256 MiB.
 _MAX_GATE_QUBITS = 12
 
 _NORM_TOL = 1e-10
@@ -83,41 +83,48 @@ class StateVector:
 
 @dataclass(frozen=True)
 class UnitaryGate:
-    """A 2^arity x 2^arity unitary matrix acting on `arity` qubits."""
+    """A unitary on `arity` qubits, held in exactly one of three forms.
+
+    * `matrix`: the dense 2^arity x 2^arity matrix;
+    * `diag`: its 2^arity diagonal entries, each of modulus 1;
+    * `perm`: a reordering of range(2^arity) that sends |j> to |perm[j]>.
+
+    The kernel applies the form the gate holds; circuit_matrix of a
+    one-op circuit gives any gate's dense matrix. Every form is checked
+    here, the package factories' too.
+    """
 
     arity: int
-    matrix: np.ndarray = field(repr=False)
-    # The package's own factories build matrices that are unitary by
-    # construction and pass True to skip the O(d^3) UU^dag check; a caller's
-    # matrix is checked.
-    _exact: InitVar[bool] = False
+    matrix: np.ndarray = field(default=None, repr=False)
+    diag: np.ndarray = field(default=None, repr=False)
+    perm: tuple = None
 
-    def __post_init__(self, _exact):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+    def __post_init__(self):
+        given = [name for name in ("matrix", "diag", "perm") if getattr(self, name) is not None]
+        if len(given) != 1:
+            raise ValueError(f"a gate holds exactly one of matrix, diag and perm, got {given}")
         dim = 2**self.arity
-        if mat.shape != (dim, dim):
-            raise ValueError(f"gate matrix must be {dim}x{dim}, got {mat.shape}")
-        if not _exact:
+        if self.matrix is not None:
+            mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+            if mat.shape != (dim, dim):
+                raise ValueError(f"gate matrix must be {dim}x{dim}, got {mat.shape}")
             err = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
             # Written so that a NaN error fails too.
             if not err <= _UNITARY_TOL:
                 raise ValueError(f"matrix is not unitary (max |UU^dag - I| = {err})")
-        object.__setattr__(self, "matrix", mat)
-        # Classified from the nonzero pattern, without d x d temporaries. A
-        # unitary with d nonzeros has one per row and column; with every
-        # nonzero equal to 1 it permutes the basis, |j> -> |perm[j]>.
-        diag = np.ascontiguousarray(np.diagonal(mat))
-        nonzeros = np.count_nonzero(mat)
-        is_diag = nonzeros == np.count_nonzero(diag)
-        perm = None
-        if not is_diag and nonzeros == dim:
-            rows, cols = np.nonzero(mat)
-            if np.all(mat[rows, cols] == 1):
-                image = np.empty(dim, dtype=np.intp)
-                image[cols] = rows
-                perm = tuple(image.tolist())
-        object.__setattr__(self, "_diag", diag if is_diag else None)
-        object.__setattr__(self, "_perm", perm)
+            object.__setattr__(self, "matrix", mat)
+        elif self.diag is not None:
+            diag = np.ascontiguousarray(self.diag, dtype=np.complex128)
+            if diag.shape != (dim,):
+                raise ValueError(f"gate diagonal must have {dim} entries, got shape {diag.shape}")
+            err = np.max(np.abs(np.abs(diag) - 1.0))
+            if not err <= _UNITARY_TOL:
+                raise ValueError(f"diagonal is not unitary (max ||d| - 1| = {err})")
+            object.__setattr__(self, "diag", diag)
+        else:
+            if len(self.perm) != dim or sorted(self.perm) != list(range(dim)):
+                raise ValueError(f"perm must reorder range({dim}), got {self.perm!r}")
+            object.__setattr__(self, "perm", tuple(int(j) for j in self.perm))
 
 
 @dataclass(frozen=True)
@@ -213,10 +220,10 @@ def _cmask(controls, width):
 
 def _apply_in_place(amps: np.ndarray, num_qubits: int, op: CircuitOp):
     gate, cmask = op.gate, _cmask(op.controls, num_qubits)
-    if gate._diag is not None:
-        _kernels.apply_diag(amps, gate._diag, op.targets, num_qubits, cmask)
-    elif gate._perm is not None:
-        _kernels.apply_perm(amps, gate._perm, op.targets, num_qubits, cmask)
+    if gate.diag is not None:
+        _kernels.apply_diag(amps, gate.diag, op.targets, num_qubits, cmask)
+    elif gate.perm is not None:
+        _kernels.apply_perm(amps, gate.perm, op.targets, num_qubits, cmask)
     else:
         _kernels.apply_dense(amps, gate.matrix, op.targets, num_qubits, cmask)
 
@@ -228,7 +235,7 @@ def _runs(ops):
     runs = []
     for op in ops:
         touched = set(op.targets + op.controls)
-        if op.gate._diag is not None and runs and runs[-1][0][-1].gate._diag is not None:
+        if op.gate.diag is not None and runs and runs[-1][0][-1].gate.diag is not None:
             run, wires = runs[-1]
             if len(wires | touched) <= _kernels._BLOCK_QUBITS:
                 run.append(op)
@@ -247,7 +254,7 @@ def _fold(run, wires) -> np.ndarray:
     for op in run:
         targets = [wire[q] for q in op.targets]
         cmask = _cmask([wire[c] for c in op.controls], u)
-        _kernels.apply_diag(diag, op.gate._diag, targets, u, cmask)
+        _kernels.apply_diag(diag, op.gate.diag, targets, u, cmask)
     return diag
 
 
@@ -319,13 +326,12 @@ def register_distribution(state: StateVector, num_leading: int) -> np.ndarray:
 def hadamard() -> UnitaryGate:
     """Single-qubit Hadamard."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    return UnitaryGate(1, h, _exact=True)
+    return UnitaryGate(1, h)
 
 
 def pauli_x() -> UnitaryGate:
     """Single-qubit bit flip."""
-    mat = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    return UnitaryGate(1, mat, _exact=True)
+    return UnitaryGate(1, perm=(1, 0))
 
 
 def ry(theta: float) -> UnitaryGate:
@@ -334,7 +340,7 @@ def ry(theta: float) -> UnitaryGate:
         raise ValueError("angle must be finite")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return UnitaryGate(1, mat, _exact=True)
+    return UnitaryGate(1, mat)
 
 
 def cry(theta: float) -> UnitaryGate:
@@ -344,22 +350,17 @@ def cry(theta: float) -> UnitaryGate:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     mat = np.eye(4, dtype=np.complex128)
     mat[2:, 2:] = [[c, -s], [s, c]]
-    return UnitaryGate(2, mat, _exact=True)
+    return UnitaryGate(2, mat)
 
 
 def crz(alpha: float) -> UnitaryGate:
     """Two-qubit controlled phase diag(1, 1, 1, e^(2*i*pi*alpha))."""
-    if not np.isfinite(alpha):
-        raise ValueError("phase must be finite")
-    mat = np.eye(4, dtype=np.complex128)
-    mat[3, 3] = np.exp(2j * np.pi * alpha)
-    return UnitaryGate(2, mat, _exact=True)
+    return diagonal([0.0, 0.0, 0.0, alpha])
 
 
 def swap() -> UnitaryGate:
     """Two-qubit SWAP."""
-    mat = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
-    return UnitaryGate(2, mat, _exact=True)
+    return UnitaryGate(2, perm=(0, 2, 1, 3))
 
 
 def diagonal(phases) -> UnitaryGate:
@@ -368,9 +369,11 @@ def diagonal(phases) -> UnitaryGate:
     if ph.ndim != 1 or ph.size < 2 or ph.size & (ph.size - 1):
         raise ValueError("phases length must be a power of 2, at least 2")
     arity = int(ph.size).bit_length() - 1
-    if arity > _MAX_GATE_QUBITS:  # before the dense matrix is allocated
-        raise ValueError(f"diagonal gate on {arity} qubits, over the limit of {_MAX_GATE_QUBITS}")
-    return UnitaryGate(arity, np.diag(np.exp(2j * np.pi * ph)), _exact=True)
+    if arity > MAX_QUBITS:
+        raise ValueError(f"diagonal gate on {arity} qubits, over the limit of {MAX_QUBITS}")
+    if not np.all(np.isfinite(ph)):  # before np.exp warns about them
+        raise ValueError("phases must be finite")
+    return UnitaryGate(arity, diag=np.exp(2j * np.pi * ph))
 
 
 def shift_circuit(circuit: QuantumCircuit, offset: int, new_width: int) -> QuantumCircuit:

@@ -303,6 +303,23 @@ def test_demo_qpe_at_twelve_ancillas_stays_small(runner):
     assert peak < 16 * 2**20
 
 
+def test_demo_neuron_with_a_twelve_qubit_product_register_stays_small(runner):
+    # Each activation diagonal holds its 2^12 phases, not a dense
+    # 2^12 x 2^12 matrix (256 MiB each).
+    args = ["demo", "neuron", "--x", "0.5", "--w", "0.5", "--m1", "3", "--m2", "12", "-p", "2",
+            "--activation", "identity"]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, combined(result)
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert abs(sum(row["prob"] for row in rows) - 1.0) < 1e-9
+    assert peak < 32 * 2**20
+
+
 README_DEMOS = [
     shlex.split(line)[1:]
     for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
@@ -338,10 +355,15 @@ NEURON_M1_1 = [
         (["qpe", "--phi", "0.25", "--m", "20"], "--m"),
         (["qpe", "--phi", "0.25", "--m", "1000000000"], "--m"),
         (["qpe", "--phi", "0.25", "--m", "0"], "--m"),
-        # Within the circuit limit, but each activation diagonal would be a
-        # dense 2^m2 x 2^m2 matrix.
-        (NEURON_M1_1 + ["--m2", "13"], "diagonal gate on 13 qubits"),
-        (NEURON_M1_1 + ["--m2", "17"], "diagonal gate on 17 qubits"),
+        # Width 21: m1 = 1, m2 = 19 and one data qubit.
+        (NEURON_M1_1 + ["--m2", "19"], "ancillas"),
+        # Refused before the threshold activation scales by 2^m2.
+        (
+            ["neuron", "--x", "0.5", "--w", "0.5", "--activation", "threshold", "--m2", "1100"],
+            "m2 = 1100",
+        ),
+        # A non-finite phase is refused by --phi, before any circuit.
+        (["qpe", "--phi", "nan", "--m", "3"], "--phi"),
     ],
 )
 def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name):

@@ -231,6 +231,19 @@ def test_label_probs_match_circuit_on_basis_states():
                     assert abs(r[x] - ref) <= 1e-12
 
 
+@pytest.mark.parametrize("n, m1, m2", [(1, 1, 13), (2, 2, 14), (2, 1, 16)])
+def test_label_probs_match_circuit_with_wide_product_registers(n, m1, m2):
+    # Past the 12 qubits a dense gate may span: the activation diagonals
+    # hold their 2^m2 phases. The activation is the one training uses.
+    rng = np.random.default_rng(38)
+    cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=threshold_activation(m1, 2.0**m2))
+    w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
+    r, _ = FastDiscriminator(cfg, n).label_probs(w.w)
+    for x in range(2**n):
+        ref = label_real_probability(w, cfg, basis_ket(n, x))
+        assert abs(r[x] - ref) <= 1e-12
+
+
 def test_label_probs_jacobian_matches_central_differences():
     rng = np.random.default_rng(37)
     h = 1e-6

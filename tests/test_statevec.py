@@ -2,6 +2,8 @@
 independent full-matrix oracle for controlled application, and norm
 preservation under random circuits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,12 @@ def random_state(rng, n):
     return StateVector(n, v / np.linalg.norm(v))
 
 
+def dense(gate):
+    """A gate's dense matrix, from circuit_matrix of a one-op circuit."""
+    op = CircuitOp(gate, tuple(range(gate.arity)))
+    return circuit_matrix(QuantumCircuit(gate.arity, (op,)))
+
+
 def embedded_matrix(op, num_qubits):
     """Pure-python embedding of a controlled gate into the full space.
 
@@ -50,6 +58,7 @@ def embedded_matrix(op, num_qubits):
     """
     dim = 2**num_qubits
     k = op.gate.arity
+    gate = dense(op.gate)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
         bits = [(col >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
@@ -60,7 +69,7 @@ def embedded_matrix(op, num_qubits):
         for t in op.targets:
             t_in = (t_in << 1) | bits[t]
         for t_out in range(2**k):
-            amp = op.gate.matrix[t_out, t_in]
+            amp = gate[t_out, t_in]
             if amp == 0.0:
                 continue
             new_bits = list(bits)
@@ -132,24 +141,24 @@ def test_control_gates_only_fire_on_set_controls():
 def test_gate_factory_matrices():
     theta = 0.7
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    assert_allclose(ry(theta).matrix, [[c, -s], [s, c]], atol=1e-15)
-    assert_allclose(hadamard().matrix, H, atol=1e-15)
-    assert_allclose(pauli_x().matrix, [[0, 1], [1, 0]], atol=1e-15)
+    assert_allclose(dense(ry(theta)), [[c, -s], [s, c]], atol=1e-15)
+    assert_allclose(dense(hadamard()), H, atol=1e-15)
+    assert_allclose(dense(pauli_x()), [[0, 1], [1, 0]], atol=1e-15)
     expect = np.eye(4, dtype=complex)
     expect[2:, 2:] = [[c, -s], [s, c]]
-    assert_allclose(cry(theta).matrix, expect, atol=1e-15)
+    assert_allclose(dense(cry(theta)), expect, atol=1e-15)
     alpha = 0.3
     expect = np.diag([1.0, 1.0, 1.0, np.exp(2j * np.pi * alpha)])
-    assert_allclose(crz(alpha).matrix, expect, atol=1e-15)
+    assert_allclose(dense(crz(alpha)), expect, atol=1e-15)
     perm = np.zeros((4, 4))
     perm[[0, 2, 1, 3], [0, 1, 2, 3]] = 1.0
-    assert_allclose(swap().matrix, perm, atol=1e-15)
+    assert_allclose(dense(swap()), perm, atol=1e-15)
 
 
 def test_diagonal_uses_phase_exponents():
     gate = diagonal([0.0, 0.25, 0.5, 0.75])
     assert_allclose(
-        np.diag(gate.matrix), np.exp(2j * np.pi * np.array([0, 0.25, 0.5, 0.75])),
+        np.diag(dense(gate)), np.exp(2j * np.pi * np.array([0, 0.25, 0.5, 0.75])),
         atol=1e-15,
     )
 
@@ -180,29 +189,64 @@ def test_unitary_gate_rejects_non_finite_entries():
     ],
 )
 def test_factory_matrices_are_unitary(gate):
-    # The factories skip the UU^dag check, so it is made here.
-    eye = np.eye(2**gate.arity)
-    assert_allclose(gate.matrix @ gate.matrix.conj().T, eye, rtol=0, atol=1e-12)
+    # On the dense matrix the kernel applies, whatever form the gate holds.
+    mat = dense(gate)
+    assert_allclose(mat @ mat.conj().T, np.eye(2**gate.arity), rtol=0, atol=1e-12)
 
 
 def _permutation_gate(perm):
-    mat = np.zeros((len(perm), len(perm)))
-    mat[perm, np.arange(len(perm))] = 1.0
-    return UnitaryGate(int(len(perm)).bit_length() - 1, mat)
+    return UnitaryGate(int(len(perm)).bit_length() - 1, perm=tuple(perm))
 
 
-def test_gates_are_classified_from_their_nonzero_pattern():
-    assert crz(0.3)._diag is not None and crz(0.3)._perm is None
-    assert hadamard()._diag is None and hadamard()._perm is None
-    assert cry(0.5)._diag is None and cry(0.5)._perm is None
-    assert pauli_x()._perm == (1, 0)
-    assert swap()._perm == (0, 2, 1, 3)
-    # The identity is diagonal (all entries 1, skipped), not a permutation.
-    assert UnitaryGate(1, np.eye(2))._perm is None
-    assert _permutation_gate([3, 0, 1, 2, 7, 6, 5, 4])._perm == (3, 0, 1, 2, 7, 6, 5, 4)
-    # One nonzero per row and column, but not all of them 1: dense.
-    y = UnitaryGate(1, np.array([[0.0, -1j], [1j, 0.0]]))
-    assert y._diag is None and y._perm is None
+def test_factories_build_the_form_the_kernel_reads():
+    # (factory gate, form held): exactly that field is set.
+    cases = [
+        (hadamard(), "matrix"),
+        (ry(0.7), "matrix"),
+        (cry(0.5), "matrix"),
+        (crz(0.3), "diag"),
+        (diagonal([0.1, 0.2, 0.3, 0.4]), "diag"),
+        (pauli_x(), "perm"),
+        (swap(), "perm"),
+    ]
+    for gate, form in cases:
+        held = [f for f in ("matrix", "diag", "perm") if getattr(gate, f) is not None]
+        assert held == [form], (gate, held)
+    assert pauli_x().perm == (1, 0)
+    assert swap().perm == (0, 2, 1, 3)
+    assert_allclose(crz(0.25).diag, [1, 1, 1, 1j], atol=1e-15)
+    # The width cap is the state's, not a dense matrix's.
+    assert diagonal(np.zeros(2**MAX_QUBITS)).arity == MAX_QUBITS
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: UnitaryGate(1), "exactly one"),
+        (lambda: UnitaryGate(1, np.eye(2), diag=np.ones(2)), "exactly one"),
+        (lambda: UnitaryGate(1, diag=np.ones(2), perm=(0, 1)), "exactly one"),
+        (lambda: UnitaryGate(1, diag=np.ones(4)), "2 entries"),
+        (lambda: UnitaryGate(1, diag=[1.0, 0.5]), "not unitary"),
+        (lambda: UnitaryGate(1, diag=[1.0, np.nan]), "not unitary"),
+        (lambda: UnitaryGate(1, perm=(0, 0)), "reorder"),
+        (lambda: UnitaryGate(1, perm=(0, 1, 2, 3)), "reorder"),
+        (lambda: diagonal([0.0, np.nan]), "finite"),
+        (lambda: diagonal([np.inf, 0.0]), "finite"),
+        (lambda: crz(np.nan), "finite"),
+        (lambda: diagonal(np.zeros(2 ** (MAX_QUBITS + 1))), "over the limit"),
+    ],
+    ids=[
+        "no-form", "matrix-and-diag", "diag-and-perm", "diag-length", "diag-modulus",
+        "diag-nan", "perm-repeat", "perm-length", "phase-nan", "phase-inf", "crz-nan",
+        "diagonal-too-wide",
+    ],
+)
+def test_gate_constructors_reject_bad_forms(make, match):
+    # Refused before any arithmetic on them: no RuntimeWarning either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 def test_circuit_op_validation():
