@@ -35,6 +35,13 @@ _MAX_SHOTS = 2**63 - 1
 _TRACE_BUDGET_BYTES = 2**30
 
 
+def _check_fd_step(fd_step) -> None:
+    # Past 1 the central difference can weigh a frequency by zero or less.
+    check_real("fd_step", fd_step)
+    if not 0.0 < fd_step <= 1.0:
+        raise ValueError(f"fd_step = {fd_step!r} is outside (0, 1] (see grad_w)")
+
+
 @dataclass(frozen=True)
 class ScoreValue:
     """Difference of two labelling probabilities, so always in [-1, 1]."""
@@ -51,7 +58,10 @@ class ScoreValue:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the alternating gradient game (shots = 0: exact)."""
+    """Hyperparameters of the alternating gradient game (shots = 0: exact).
+
+    fd_step in (0, 1] is the step of every weight gradient (see grad_w).
+    """
 
     n_qubits: int = 4
     epochs: int = 300
@@ -61,7 +71,7 @@ class TrainConfig:
     lr_g: float = 0.05
     shots: int = 0
     seed: int = 0
-    fd_step: float = 1e-5
+    fd_step: float = 0.5
 
     def __post_init__(self):
         check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
@@ -69,11 +79,12 @@ class TrainConfig:
             check_int(key, getattr(self, key), 1)
         check_int("shots", self.shots, 0, _MAX_SHOTS)
         check_int("seed", self.seed, 0)
-        for key in ("lr_d", "lr_g", "fd_step"):
+        for key in ("lr_d", "lr_g"):
             value = getattr(self, key)
             check_real(key, value)
             if value <= 0.0:
                 raise ValueError(f"{key} = {value!r} is not positive")
+        _check_fd_step(self.fd_step)
         n = self.n_qubits
         trace_bytes = self.epochs * (num_params(n) + n + 4) * 8
         if trace_bytes > _TRACE_BUDGET_BYTES:
@@ -127,9 +138,8 @@ def _exact_score(fast, wvec, target_amps, gen_amps) -> float:
     return fast.p_real(wvec, target_amps) - fast.p_real(wvec, gen_amps)
 
 
-def _exact_scores(p_t, p_g):
-    """Score estimator without sampling: p_t - p_g, elementwise."""
-    return np.subtract(p_t, p_g)
+# Score estimator without sampling: p_t - p_g, elementwise.
+_exact_scores = np.subtract
 
 
 def _sampled_scores(rng, shots):
@@ -215,20 +225,11 @@ def _shift_rule(n: int) -> tuple:
     return offsets, weights
 
 
-def _fd_grad_w(fast, wvec, t_probs, g_probs, estimate, h) -> np.ndarray:
-    # Central differences over the probes w + h e_0, w - h e_0, w + h e_1,
-    # ..., estimated in that order. Probe w +- h e_j moves t_x = bits_x . w / 2
-    # by +-h/2 where bit j of x is set and leaves it elsewhere, so r at t
-    # and t +- h/2 labels all of them: with P the probabilities,
-    # P . r(w +- h e_j) = P . r(t) + sum_x P_x bits_xj (r(t_x +- h/2) - r(t_x)).
-    t = wvec @ fast.bits.T / 2.0
-    r = fast.series(t + np.array([[0.0], [h / 2.0], [-h / 2.0]]))[0]
-    moved = r[1:] - r[0]
-    # Rows (probe j, +) and (probe j, -) of each label probability.
-    p_t = (t_probs @ r[0] + (moved * t_probs) @ fast.bits).T
-    p_g = (g_probs @ r[0] + (moved * g_probs) @ fast.bits).T
-    s = estimate(p_t, p_g)
-    return (s[:, 0] - s[:, 1]) / (2.0 * h)
+def _grad_w_raw(fast, wvec, probs, estimate, step) -> np.ndarray:
+    # Probes by weight, + before -; `probs` columns: target, then generated.
+    p = fast.weight_probes(wvec, step) @ probs
+    s = estimate(p[..., 0], p[..., 1])
+    return (s[:, 0] - s[:, 1]) / (2.0 * step)
 
 
 def _grad_theta_raw(n, thetas, r, t_probs, estimate, rule) -> np.ndarray:
@@ -250,7 +251,7 @@ def grad_theta(
     the extra half frequency and use the four-point rule.
     """
     n = _check_instance(theta, w, target)
-    r = FastDiscriminator(cfg, n).label_probs(w.w)[0]
+    r = FastDiscriminator(cfg, n).label_probs(w.w)
     t_probs = np.abs(target.amps) ** 2
     return _grad_theta_raw(n, theta.thetas, r, t_probs, _exact_scores, _shift_rule(n))
 
@@ -260,21 +261,18 @@ def grad_w(
     w: DiscriminatorWeights,
     target: StateVector,
     cfg: DiscriminatorConfig,
-    fd_step: float = 1e-5,
+    fd_step: float = 0.5,
 ) -> np.ndarray:
-    """dS/dw = (|target|^2 - |generated|^2) @ dr/dw, in closed form.
+    """[S(w + s e_j) - S(w - s e_j)] / (2 s), s = fd_step, as train() ascends.
 
-    The label probabilities r(w) are a trigonometric polynomial in the
-    weights (see FastDiscriminator), so the exact gradient needs no
-    finite differences. `fd_step` is still validated for callers that
-    pass it; only sampled training takes finite differences.
+    Along w_j the score has the frequencies pi k / N, 0 < k < N = 2^m2; this
+    is its exact slope averaged over [w_j - s, w_j + s], which weighs each
+    by sinc(pi k s / N): positive for s in (0, 1], at least 2/pi at s = 1/2.
     """
-    if not (np.isfinite(fd_step) and fd_step > 0.0):
-        raise ValueError("fd_step must be positive and finite")
+    _check_fd_step(fd_step)
     n = _check_instance(theta, w, target)
-    jac = FastDiscriminator(cfg, n).label_probs(w.w)[1]
-    gen_probs = _gen_amps(n, theta.thetas) ** 2
-    return (np.abs(target.amps) ** 2 - gen_probs) @ jac
+    probs = np.stack([np.abs(target.amps) ** 2, _gen_amps(n, theta.thetas) ** 2], axis=1)
+    return _grad_w_raw(FastDiscriminator(cfg, n), w.w, probs, _exact_scores, fd_step)
 
 
 def minmax_gap(
@@ -292,7 +290,7 @@ def minmax_gap(
     if grid.ndim != 2 or grid.shape[1] != target.num_qubits:
         raise ValueError(f"w_grid must have shape (k, {target.num_qubits})")
     n = target.num_qubits
-    r = FastDiscriminator(cfg, n).label_probs(grid)[0]
+    r = FastDiscriminator(cfg, n).label_probs(grid)
     delta = np.abs(target.amps) ** 2 - _gen_amps(n, theta.thetas) ** 2
     return float(np.max(r @ delta))
 
@@ -368,18 +366,14 @@ def train(
 
     Scores inside the game come from one estimator: exact, or with
     shots > 0 the Real frequency of `shots` Bernoulli labelling rounds
-    per probability, drawn as one binomial count. The exact weight
-    gradient is analytic; sampled scores have no derivative, so the
-    sampled weight gradient takes central differences of step fd_step.
+    per probability, drawn as one binomial count. Both gradients hand it
+    their probes: theta's shift-rule probes, and the weight probes
+    w +- fd_step e_j of the central difference (see grad_w).
     """
     n = cfg.n_qubits
     if target.n_qubits != n:
-        raise ValueError(
-            f"target has {target.n_qubits} qubits, config says {n}"
-        )
-    if disc is None:
-        disc = training_discriminator(n)
-    fast = FastDiscriminator(disc, n)
+        raise ValueError(f"target has {target.n_qubits} qubits, config says {n}")
+    fast = FastDiscriminator(disc if disc is not None else training_discriminator(n), n)
     rng = np.random.default_rng(cfg.seed)
     thetas = _initial_thetas(n, rng)
     if theta_init is not None:
@@ -397,10 +391,7 @@ def train(
     rule = _shift_rule(n)
 
     e = cfg.epochs
-    scores = np.empty(e)
-    fids = np.empty(e)
-    kls = np.empty(e)
-    tds = np.empty(e)
+    scores, fids, kls, tds = np.empty((4, e))
     theta_rows = np.empty((e, thetas.size))
     w_rows = np.empty((e, n))
 
@@ -408,15 +399,13 @@ def train(
     needs_restart = False
     for epoch in range(e):
         gen_probs = gen**2
+        probs = np.stack([t_probs, gen_probs], axis=1)
         if needs_restart:
             wvec = rng.uniform(-1.0, 1.0, n)
         for _ in range(cfg.n_d):
-            if cfg.shots == 0:
-                gw = (t_probs - gen_probs) @ fast.label_probs(wvec)[1]
-            else:
-                gw = _fd_grad_w(fast, wvec, t_probs, gen_probs, estimate, cfg.fd_step)
+            gw = _grad_w_raw(fast, wvec, probs, estimate, cfg.fd_step)
             wvec = np.clip(wvec + cfg.lr_d * gw, -1.0, 1.0)
-        r = fast.label_probs(wvec)[0]
+        r = fast.label_probs(wvec)
         needs_restart = estimate(t_probs @ r, gen_probs @ r) <= 0.0
         for _ in range(cfg.n_g):
             thetas = thetas - cfg.lr_g * _grad_theta_raw(

@@ -137,11 +137,11 @@ class FastDiscriminator:
                                    + beta_k sin(2 pi k t / N),
 
     whose coefficients depend only on (cfg, n) and are computed here with
-    one FFT. `series` evaluates it as Re(sum_k (alpha_k - i beta_k) z^k)
-    from a running product of z = e^(2 i pi t / N), so it takes one
-    complex exponential per product, not one cosine and one sine per
-    frequency; label_probs calls it at t_x = bits_x . w / 2. Agreement
-    with the circuit (label_real_probability) is covered by tests.
+    one FFT. It is Re(sum_k (alpha_k - i beta_k) z^k) on a powers table,
+    the running product of z = e^(2 i pi t_x / N): one complex exponential
+    per product, not one cosine and one sine per frequency. `label_probs`
+    and `weight_probes` both read that table. Agreement with the circuit
+    (label_real_probability) is covered by tests.
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
@@ -152,10 +152,11 @@ class FastDiscriminator:
         # Bit matrix of the data register, most significant bit first:
         # bits[x, j] is bit j of basis state x. The bits enter the phase at
         # half scale (p = 1), so t_x = bits[x] . w / 2.
-        self.bits = (
+        bits = (
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
         ).astype(np.float64)
-        self._half_bits = self.bits / 2.0
+        self._half_bits = bits / 2.0
+        self._bit_rows = bits.T[:, None, :]
         size = 2**m2
         # Activation estimation of sigma_b on the m1 register (its inverse
         # QFT is an FFT along the register axis), then the probability c_b
@@ -170,38 +171,48 @@ class FastDiscriminator:
         k = np.arange(1, size)
         weight = 2.0 * (size - k) / size**2
         self._a0 = float(readout.sum()) / size
-        coef = weight * np.fft.fft(readout)[1:]
-        # With z = e^(omega t), omega = 2 i pi / N: r = a0 + Re(z^k @ coef)
-        # and dr/dt = Re(z^k @ (omega k) coef).
+        # With z = e^(omega t), omega = 2 i pi / N: r = a0 + Re(z^k @ coef).
+        self._coef = weight * np.fft.fft(readout)[1:]
         self._omega = 2j * np.pi / size
-        self._cols = np.stack([coef, self._omega * k * coef], axis=1)
+        self._probe_coefs = (None, None)  # (step, shifted coefficients) last probed
 
-    def label_probs(self, w: np.ndarray) -> tuple:
-        """Label probabilities r(w) of the data basis states and their Jacobian.
+    def _powers(self, w: np.ndarray) -> np.ndarray:
+        # Powers z^1 .. z^(N-1) per product t_x: a running product over a stride-0
+        # view of z, np.broadcast_to's view without its Python cost (12 calls an epoch).
+        z = np.exp(self._omega * (np.asarray(w, dtype=np.float64) @ self._half_bits.T))
+        view = np.ndarray(z.shape + (self._coef.size,), z.dtype, z, 0, z.strides + (0,))
+        return np.multiply.accumulate(view, axis=-1)
+
+    def label_probs(self, w: np.ndarray) -> np.ndarray:
+        """Label probabilities r(w) of the data basis states.
 
         `w` holds one weight vector (shape (n,)) or a batch of them
         (shape (..., n)). Returns r with shape (..., 2^n), where r[..., x]
-        is P(label Real | basis state x), and dr/dw with shape
-        (..., 2^n, n).
+        is P(label Real | basis state x).
         """
-        t = np.asarray(w, dtype=np.float64) @ self._half_bits.T
-        r, slope = self.series(t)
-        return r, slope[..., None] * self._half_bits
+        # einsum, not a BLAS matrix-vector product: OpenBLAS threads those from
+        # a few thousand entries; at n = 8 its threads stalled for milliseconds.
+        return self._a0 + np.einsum("...k,k->...", self._powers(w), self._coef).real
 
-    def series(self, t: np.ndarray) -> tuple:
-        """The label probability r(t) and its slope dr/dt at inner products t.
+    def weight_probes(self, w: np.ndarray, step: float) -> np.ndarray:
+        """Label probabilities r at the probes w + step e_j and w - step e_j.
 
-        `t` holds halved products bits_x . w / 2 of any shape; both results
-        have that shape.
+        Returns shape (n, 2, 2^n) with [j, 0] at w + step e_j, [j, 1] at
+        w - step e_j. Probe w +- s e_j moves t_x by +-s/2 where bit j of x is
+        set, and r(t +- s/2) - r(t) = Re(z^k @ coef (e^(+-i pi k s / N) - 1)):
+        the powers table at t labels every probe, subtracting no nearly equal
+        r. Probes may leave [-1, 1]; r is periodic, the circuit's at any w.
         """
-        # Powers z^1 .. z^(N-1) of one complex exponential per product.
-        z = np.exp(self._omega * t)
-        powers = np.multiply.accumulate(
-            np.broadcast_to(z[..., None], z.shape + (self._cols.shape[0],)), axis=-1
-        )
-        series = (powers @ self._cols).real
-        return self._a0 + series[..., 0], series[..., 1]
+        if self._probe_coefs[0] != step:
+            # e^(+-i h) - 1 = -2 sin^2(h / 2) +- i sin(h), exact at small h.
+            h = self._omega.imag * np.arange(1, self._coef.size + 1) * step / 2.0
+            shift = -2.0 * np.sin(h / 2.0) ** 2 + 1j * np.sin(h)
+            cols = np.stack([np.ones_like(shift), shift, shift.conj()], axis=1)
+            self._probe_coefs = (step, self._coef[:, None] * cols)
+        series = (self._powers(w) @ self._probe_coefs[1]).real
+        # r(t), then the move of each side where bit j is set.
+        return (self._a0 + series[:, 0]) + self._bit_rows * series[:, 1:].T
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
         """P(label Real) for the data register in state `data_amps`."""
-        return float(np.abs(data_amps) ** 2 @ self.label_probs(w)[0])
+        return float(np.abs(data_amps) ** 2 @ self.label_probs(w))

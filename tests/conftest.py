@@ -20,6 +20,8 @@ _CRITERIA = {
     10: "svi pipeline: b=0 lognormal, implied-vol round trip, bin additivity, 16-bin target",
     11: "n=2 training, 5-seed mean final fidelity >= 0.99 in 300 epochs, under 60 s",
     12: "n=4 svi training, median fidelity >= 0.9 and median kl decreasing, under 10 min",
+    13: "n=2 training at 10,000 shots, 10-seed median final fidelity >= 0.99, under 60 s",
+    14: "n=4 svi training, 1,000 shots, median fidelity >= 0.9, median kl falling, under 10 min",
 }
 
 _results = {}

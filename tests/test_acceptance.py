@@ -302,3 +302,44 @@ def test_criterion_12_four_qubit_svi_training():
     assert float(np.median(finals)) >= 0.9, finals
     assert float(np.median(kl_last)) < float(np.median(kl_first))
     assert elapsed < 600.0
+
+
+def test_criterion_13_two_qubit_sampled_training():
+    """Criterion 11's setup with 10,000 labelling rounds per probability,
+    ten seeds: median final fidelity >= 0.99, under 60 seconds."""
+    start = time.perf_counter()
+    target = DiscreteDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
+    disc = training_discriminator(2)
+    finals = []
+    for seed in range(10):
+        cfg = TrainConfig(
+            n_qubits=2, epochs=300, n_d=9, n_g=1, lr_d=1.0, lr_g=1.0, shots=10_000,
+            seed=seed,
+        )
+        finals.append(train(cfg, target, disc=disc).fidelities[-1])
+    elapsed = time.perf_counter() - start
+    assert float(np.median(finals)) >= 0.99, finals
+    assert elapsed < 60.0
+
+
+def test_criterion_14_four_qubit_sampled_svi_training():
+    """Criterion 12's setup with 1,000 labelling rounds per probability,
+    five seeds: median final fidelity >= 0.9 and the median KL strictly
+    below its epoch-0 value, under 10 minutes."""
+    start = time.perf_counter()
+    target = discretize(DEFAULT_SMILE_PARAMS, 4)
+    disc = training_discriminator(4)
+    finals, kl_first, kl_last = [], [], []
+    for seed in range(5):
+        cfg = TrainConfig(
+            n_qubits=4, epochs=2000, n_d=9, n_g=1, lr_d=1.0, lr_g=0.5, shots=1000,
+            seed=seed,
+        )
+        trace = train(cfg, target, disc=disc)
+        finals.append(trace.fidelities[-1])
+        kl_first.append(trace.kls[0])
+        kl_last.append(trace.kls[-1])
+    elapsed = time.perf_counter() - start
+    assert float(np.median(finals)) >= 0.9, finals
+    assert float(np.median(kl_last)) < float(np.median(kl_first))
+    assert elapsed < 600.0

@@ -1,6 +1,6 @@
 """Adversarial objective and trainer: the POVM trace identity, gradient
-rules, the minmax bound, the sampled estimator's distribution and its
-finite-difference probes, the sign-aligned initial draw, and the
+rules, the minmax bound, the sampled estimator's distribution, the
+weight gradient's central-difference probes, the sign-aligned initial draw, and the
 train() contract (determinism, shapes, validation, restarts)."""
 
 import time
@@ -139,22 +139,32 @@ def test_shift_rule_matches_finite_differences():
             assert abs(grad[i] - fd) < 1e-6
 
 
+def score_slopes(theta, w, target, cfg, s):
+    """[S(w + s e_j) - S(w - s e_j)] / (2 s) from the exact score, per j."""
+    n = w.w.size
+    return np.array(
+        [
+            (
+                float(score(theta, DiscriminatorWeights(w.w + s * e), target, cfg))
+                - float(score(theta, DiscriminatorWeights(w.w - s * e), target, cfg))
+            )
+            / (2.0 * s)
+            for e in np.eye(n)
+        ]
+    )
+
+
 def test_weight_gradient_matches_score_slope():
+    # Weights in [-1/2, 1/2] keep every probe inside [-1, 1].
     rng = np.random.default_rng(55)
-    cfg, theta, w, target = random_instance(rng, 2)
-    grad = grad_w(theta, w, target, cfg)
-    h = 1e-4
-    for i in range(2):
-        up, down = w.w.copy(), w.w.copy()
-        up[i] += h
-        down[i] -= h
-        fd = (
-            float(score(theta, DiscriminatorWeights(up), target, cfg))
-            - float(score(theta, DiscriminatorWeights(down), target, cfg))
-        ) / (2.0 * h)
-        assert abs(grad[i] - fd) < 1e-5
-    with pytest.raises(ValueError):
-        grad_w(theta, w, target, cfg, fd_step=0.0)
+    cfg, theta, _, target = random_instance(rng, 2)
+    w = DiscriminatorWeights(rng.uniform(-0.5, 0.5, 2))
+    for s in (1e-3, 0.25, 0.5):
+        grad = grad_w(theta, w, target, cfg, fd_step=s)
+        assert_allclose(grad, score_slopes(theta, w, target, cfg, s), rtol=0, atol=1e-12)
+    for bad in (0.0, -0.5, 1.5, 8.0, float("nan")):
+        with pytest.raises(ValueError, match="^fd_step = "):
+            grad_w(theta, w, target, cfg, fd_step=bad)
 
 
 def test_gradient_rejects_mismatched_widths():
@@ -282,23 +292,16 @@ def test_short_training_run_improves_fidelity():
 
 
 def test_weight_gradient_matches_finite_difference_formula():
-    # The closed-form gradient against central differences of the exact
-    # score at step 1e-5, the formula it replaced.
+    # train()'s discriminator at every width up to 4, and the default step.
     rng = np.random.default_rng(58)
-    h = 1e-5
     for n in (1, 2, 3, 4):
-        _, theta, w, target = random_instance(rng, n)
+        _, theta, _, target = random_instance(rng, n)
+        w = DiscriminatorWeights(rng.uniform(-0.5, 0.5, n))
         cfg = training_discriminator(n)
-        grad = grad_w(theta, w, target, cfg)
-        for i in range(n):
-            up, down = w.w.copy(), w.w.copy()
-            up[i] += h
-            down[i] -= h
-            fd = (
-                float(score(theta, DiscriminatorWeights(up), target, cfg))
-                - float(score(theta, DiscriminatorWeights(down), target, cfg))
-            ) / (2.0 * h)
-            assert abs(grad[i] - fd) < 1e-6
+        for s in (1e-3, 0.25, 0.5):
+            grad = grad_w(theta, w, target, cfg, s)
+            assert_allclose(grad, score_slopes(theta, w, target, cfg, s), rtol=0, atol=1e-12)
+        assert np.array_equal(grad_w(theta, w, target, cfg), grad)
 
 
 @pytest.mark.parametrize(
@@ -321,6 +324,10 @@ def test_weight_gradient_matches_finite_difference_formula():
         ("fd_step", float("nan")),
         ("fd_step", float("inf")),
         ("fd_step", "1e-5"),
+        ("fd_step", 0.0),
+        ("fd_step", -0.5),
+        ("fd_step", 1.5),
+        ("fd_step", 8.0),
         ("shots", -1),
         ("shots", 2**63),
         ("epochs", 10**13),
@@ -367,6 +374,8 @@ def test_train_config_bounds_the_trace_and_the_shots():
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert (cfg.n_qubits, cfg.epochs, cfg.shots, cfg.seed) == (4, 300, 0, 0)
+    assert cfg.fd_step == 0.5
+    TrainConfig(fd_step=1.0)
 
 
 def test_train_at_eight_qubits_starts_sign_aligned():
@@ -431,22 +440,20 @@ def test_sampled_scores_draw_pair_by_pair_in_broadcast_shape(shots, p_t, p_g):
     assert np.array_equal(got, again)
 
 
-@pytest.mark.parametrize("h", [1e-5, 0.3])
+@pytest.mark.parametrize("h", [1e-5, 0.3, 0.5, 1.0])
 def test_weight_probes_match_labelling_each_shifted_weight_vector(h):
-    # Each probe w +- h e_j labelled in full by label_probs, then the exact
-    # score's central difference.
+    # Each probe w +- h e_j labelled in full by label_probs; probes may
+    # leave [-1, 1], where the series still holds.
     rng = np.random.default_rng(71)
     for n in range(1, 7):
         fast = FastDiscriminator(training_discriminator(n), n)
         w = rng.uniform(-1.0, 1.0, n)
-        t_probs, g_probs = rng.dirichlet(np.ones(2**n), size=2)
-        want = np.empty(n)
+        got = fast.weight_probes(w, h)
+        assert got.shape == (n, 2, 2**n)
         for j in range(n):
             step = h * np.eye(n)[j]
-            up, down = fast.label_probs(w + step)[0], fast.label_probs(w - step)[0]
-            want[j] = ((t_probs - g_probs) @ up - (t_probs - g_probs) @ down) / (2.0 * h)
-        got = adversarial._fd_grad_w(fast, w, t_probs, g_probs, adversarial._exact_scores, h)
-        assert_allclose(got, want, rtol=0, atol=1e-9)
+            assert_allclose(got[j, 0], fast.label_probs(w + step), rtol=0, atol=1e-12)
+            assert_allclose(got[j, 1], fast.label_probs(w - step), rtol=0, atol=1e-12)
 
 
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))

@@ -115,14 +115,16 @@ def test_train_writes_trace_and_summary(runner, tmp_path):
 
 
 def test_train_is_byte_deterministic(runner, tmp_path):
-    cfg = _small_train_config(tmp_path)
-    for sub in ("a", "b"):
-        res = runner.invoke(
-            main, ["train", "--config", cfg, "--out-dir", str(tmp_path / sub)]
-        )
-        assert res.exit_code == 0, res.output
-    assert (tmp_path / "a/trace.csv").read_bytes() == (tmp_path / "b/trace.csv").read_bytes()
-    assert (tmp_path / "a/train.json").read_bytes() == (tmp_path / "b/train.json").read_bytes()
+    for name, extra in {"exact": {}, "sampled": {"shots": 100}}.items():
+        cfg = _small_train_config(tmp_path / name, **extra)
+        for sub in ("a", "b"):
+            res = runner.invoke(
+                main, ["train", "--config", cfg, "--out-dir", str(tmp_path / name / sub)]
+            )
+            assert res.exit_code == 0, res.output
+        for artifact in ("trace.csv", "train.json"):
+            a = (tmp_path / name / "a" / artifact).read_bytes()
+            assert (tmp_path / name / "b" / artifact).read_bytes() == a
 
 
 def test_seed_option_overrides_config(runner, tmp_path):
@@ -392,6 +394,8 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("train", '{"n_qubits": 2, "seed": -1}', "seed", 2),
         ("train", '{"n_qubits": 1, "epochs": 10000000000000}', "epochs", 2),
         ("train", '{"n_qubits": 2, "shots": 9223372036854775808}', "shots", 2),
+        ("train", '{"n_qubits": 2, "fd_step": 0}', "fd_step", 2),
+        ("train", '{"n_qubits": 2, "fd_step": 8}', "fd_step", 2),
         # The sigmoid rounds to 1.0 from decoded product 38 up.
         (
             "train",

@@ -1,6 +1,6 @@
 """Perceptron discriminator: circuit vs closed-form evaluator (label
-probabilities and their Jacobian), the phase-power evaluation against the
-cos/sin series, register width limits, the label law on a 1-bit
+probabilities and the weight-gradient probes), the phase-power evaluation
+against the cos/sin series, register width limits, the label law on a 1-bit
 activation register, sign blindness, and the mid-cell threshold
 activation."""
 
@@ -75,10 +75,10 @@ def test_widest_inner_product_register_constructs_quickly():
     cfg = DiscriminatorConfig(m1=1, m2=m2, activation=threshold_activation(1, 2.0**m2))
     start = time.perf_counter()
     fast = FastDiscriminator(cfg, 2)
-    r, jac = fast.label_probs(np.zeros(2))
+    r = fast.label_probs(np.zeros(2))
     assert time.perf_counter() - start < 1.0
+    assert r.shape == (4,)
     assert_allclose(r, 0.5, rtol=0, atol=1e-12)
-    assert jac.shape == (4, 2)
 
 
 def test_build_rejects_weight_count_mismatch():
@@ -224,7 +224,7 @@ def test_label_probs_match_circuit_on_basis_states():
             for act in _activations(m1, m2):
                 cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
                 w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
-                r, _ = FastDiscriminator(cfg, n).label_probs(w.w)
+                r = FastDiscriminator(cfg, n).label_probs(w.w)
                 assert r.shape == (2**n,)
                 for x in xs:
                     ref = label_real_probability(w, cfg, basis_ket(n, int(x)))
@@ -238,26 +238,30 @@ def test_label_probs_match_circuit_with_wide_product_registers(n, m1, m2):
     rng = np.random.default_rng(38)
     cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=threshold_activation(m1, 2.0**m2))
     w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
-    r, _ = FastDiscriminator(cfg, n).label_probs(w.w)
+    r = FastDiscriminator(cfg, n).label_probs(w.w)
     for x in range(2**n):
         ref = label_real_probability(w, cfg, basis_ket(n, x))
         assert abs(r[x] - ref) <= 1e-12
 
 
-def test_label_probs_jacobian_matches_central_differences():
+def test_weight_probes_match_circuit_at_the_shifted_weights():
+    # Every probe w +- s e_j stays in [-1, 1], where the circuit is defined.
     rng = np.random.default_rng(37)
-    h = 1e-6
-    for n in range(1, 6):
+    for n in range(1, 4):
         m2 = DiscriminatorConfig.for_width(n).m2 + 1
-        for act in _activations(2, m2):
-            fast = FastDiscriminator(DiscriminatorConfig(m1=2, m2=m2, activation=act), n)
-            w = rng.uniform(-1.0, 1.0, n)
-            r, jac = fast.label_probs(w)
-            assert jac.shape == (2**n, n)
-            for j in range(n):
-                step = h * np.eye(n)[j]
-                fd = (fast.label_probs(w + step)[0] - fast.label_probs(w - step)[0]) / (2 * h)
-                assert_allclose(jac[:, j], fd, atol=1e-8)
+        for m1, act in ((2, threshold_activation(2, 2.0**m2)), (1, sigmoid_activation())):
+            cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
+            fast = FastDiscriminator(cfg, n)
+            w = rng.uniform(-0.5, 0.5, n)
+            for s in (0.25, 0.5):
+                probes = fast.weight_probes(w, s)
+                assert probes.shape == (n, 2, 2**n)
+                for j in range(n):
+                    for side, sign in enumerate((1.0, -1.0)):
+                        shifted = DiscriminatorWeights(w + sign * s * np.eye(n)[j])
+                        for x in range(2**n):
+                            ref = label_real_probability(shifted, cfg, basis_ket(n, x))
+                            assert abs(probes[j, side, x] - ref) <= 1e-12
 
 
 def test_label_probs_take_a_batch_of_weights():
@@ -266,12 +270,10 @@ def test_label_probs_take_a_batch_of_weights():
         DiscriminatorConfig(m1=2, m2=4, activation=threshold_activation(2, 16.0)), 4
     )
     grid = rng.uniform(-1.0, 1.0, (5, 4))
-    r, jac = fast.label_probs(grid)
-    assert r.shape == (5, 16) and jac.shape == (5, 16, 4)
+    r = fast.label_probs(grid)
+    assert r.shape == (5, 16)
     for row, w in enumerate(grid):
-        one_r, one_jac = fast.label_probs(w)
-        assert_allclose(r[row], one_r, rtol=0, atol=1e-15)
-        assert_allclose(jac[row], one_jac, rtol=0, atol=1e-15)
+        assert_allclose(r[row], fast.label_probs(w), rtol=0, atol=1e-15)
 
 
 def test_p_real_is_born_weighted_label_probs():
@@ -281,14 +283,14 @@ def test_p_real_is_born_weighted_label_probs():
         fast = FastDiscriminator(cfg, n)
         w = rng.uniform(-1.0, 1.0, n)
         amps = random_state(rng, n).amps
-        expected = np.abs(amps) ** 2 @ fast.label_probs(w)[0]
+        expected = np.abs(amps) ** 2 @ fast.label_probs(w)
         assert abs(fast.p_real(w, amps) - expected) <= 1e-15
 
 
 def cos_sin_series(cfg):
     """Coefficients of the label series of FastDiscriminator, summed
-    directly over the register outcomes, and an evaluator that takes
-    one cos and one sin per frequency."""
+    directly over the register outcomes, and an evaluator of the label
+    probabilities that takes one cos and one sin per frequency."""
     m1, m2 = cfg.m1, cfg.m2
     size = 2**m2
     sigma = np.array([cfg.activation.fn(signed_decode(b, m2)) for b in range(size)])
@@ -309,10 +311,7 @@ def cos_sin_series(cfg):
     def label_probs(n, w):
         bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
         phase = (w @ bits.T / 2.0)[..., None] * freq
-        cos, sin = np.cos(phase), np.sin(phase)
-        r = readout.sum() / size + cos @ alpha + sin @ beta
-        slope = cos @ (freq * beta) - sin @ (freq * alpha)
-        return r, slope[..., None] * bits / 2.0
+        return readout.sum() / size + np.cos(phase) @ alpha + np.sin(phase) @ beta
 
     return label_probs
 
@@ -332,10 +331,8 @@ def test_phase_powers_match_cos_sin_series():
                     if m2 < cfg.min_m2(n):
                         continue
                     w = np.vstack([np.ones(n), -np.ones(n), rng.uniform(-1.0, 1.0, (2, n))])
-                    r, jac = FastDiscriminator(cfg, n).label_probs(w)
-                    ref_r, ref_jac = reference(n, w)
-                    assert_allclose(r, ref_r, rtol=0, atol=1e-12)
-                    assert_allclose(jac, ref_jac, rtol=0, atol=1e-12)
+                    r = FastDiscriminator(cfg, n).label_probs(w)
+                    assert_allclose(r, reference(n, w), rtol=0, atol=1e-12)
 
 
 def test_out_of_range_activation_is_rejected_naming_the_product():
