@@ -27,6 +27,10 @@ BACKEND = "numpy"
 # this many qubits.
 _BLOCK_QUBITS = 14
 
+# statevec fuses ops into one dense gate over at most this many qubits. On
+# the 20-qubit RY layer and QFT, widths 2, 4 and 5 were slower than 3.
+_FUSE_QUBITS = 3
+
 
 def _view_index(n, cmask):
     # One slice per qubit axis, with every control axis fixed at 1.

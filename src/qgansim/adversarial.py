@@ -34,6 +34,12 @@ _MAX_SHOTS = 2**63 - 1
 # Memory the per-epoch trace arrays of one train() call may take.
 _TRACE_BUDGET_BYTES = 2**30
 
+# Probe entries one epoch may compute: each ascent step labels the 2n
+# weight probes and each descent step generates one state per shift-rule
+# probe, 2^n entries each. The defaults need 102 * 2^4 at n = 4 and about
+# 2^29.1 at n = MAX_QUBITS.
+_EPOCH_BUDGET = 2**30
+
 
 def _check_fd_step(fd_step) -> None:
     # Past 1 the central difference can weigh a frequency by zero or less.
@@ -91,6 +97,15 @@ class TrainConfig:
             raise ValueError(
                 f"epochs = {self.epochs!r} needs {trace_bytes} bytes of trace at "
                 f"n_qubits = {n}, over the {_TRACE_BUDGET_BYTES}-byte budget"
+            )
+        weight_probes = self.n_d * 2 * n
+        theta_probes = self.n_g * len(_shift_rule(n)[0])
+        work = (weight_probes + theta_probes) * 2**n
+        if work > _EPOCH_BUDGET:
+            key = "n_d" if weight_probes >= theta_probes else "n_g"
+            raise ValueError(
+                f"{key} = {getattr(self, key)!r} needs {work} probe entries per epoch at "
+                f"n_qubits = {n}, over the budget of {_EPOCH_BUDGET}"
             )
 
 

@@ -203,7 +203,11 @@ def basis_ket(num_qubits: int, index: int) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the most significant."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
+    # Checked before the 2^(a + b) amplitudes are allocated.
+    width = a.num_qubits + b.num_qubits
+    if width > MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {width}")
+    return StateVector(width, np.kron(a.amps, b.amps))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -218,44 +222,56 @@ def _cmask(controls, width):
     return sum(1 << (width - 1 - c) for c in controls)
 
 
-def _apply_in_place(amps: np.ndarray, num_qubits: int, op: CircuitOp):
-    gate, cmask = op.gate, _cmask(op.controls, num_qubits)
-    if gate.diag is not None:
-        _kernels.apply_diag(amps, gate.diag, op.targets, num_qubits, cmask)
-    elif gate.perm is not None:
-        _kernels.apply_perm(amps, gate.perm, op.targets, num_qubits, cmask)
-    else:
-        _kernels.apply_dense(amps, gate.matrix, op.targets, num_qubits, cmask)
-
-
-def _runs(ops):
-    # Maximal runs of consecutive diagonal ops touching at most
-    # _kernels._BLOCK_QUBITS qubits (targets and controls); every other op
-    # is a run of its own. Returns (ops, sorted touched qubits) pairs.
-    runs = []
+def _groups(ops):
+    # The ops in groups that run_circuit applies in one pass each, as
+    # (ops, sorted touched qubits) pairs. An op joins the first group that
+    # fits after the last group touching any of its qubits (targets or
+    # controls), so it moves only past ops on other qubits, which commute
+    # with it. An all-diagonal group spans at most _kernels._BLOCK_QUBITS
+    # qubits; any other group of two or more ops at most _kernels._FUSE_QUBITS.
+    groups, last = [], {}
     for op in ops:
         touched = set(op.targets + op.controls)
-        if op.gate.diag is not None and runs and runs[-1][0][-1].gate.diag is not None:
-            run, wires = runs[-1]
-            if len(wires | touched) <= _kernels._BLOCK_QUBITS:
-                run.append(op)
-                wires.update(touched)
-                continue
-        runs.append(([op], touched))
-    return [(run, sorted(wires)) for run, wires in runs]
+        diag = op.gate.diag is not None
+        g = max(last.get(q, 0) for q in touched)
+        while g < len(groups):
+            run, wires, all_diag = groups[g]
+            width = _kernels._BLOCK_QUBITS if diag and all_diag else _kernels._FUSE_QUBITS
+            if len(wires | touched) <= width:
+                break
+            g += 1
+        else:
+            groups.append([[], set(), True])
+        groups[g][0].append(op)
+        groups[g][1] |= touched
+        groups[g][2] &= diag
+        last.update(dict.fromkeys(touched, g))
+    return [(run, sorted(wires)) for run, wires, _ in groups]
 
 
-def _fold(run, wires) -> np.ndarray:
-    # The product of a run of diagonal ops as one diagonal over `wires`:
-    # each op is applied to a vector of ones over those qubits.
-    wire = {q: i for i, q in enumerate(wires)}
-    u = len(wires)
-    diag = np.ones(2**u, dtype=np.complex128)
-    for op in run:
-        targets = [wire[q] for q in op.targets]
-        cmask = _cmask([wire[c] for c in op.controls], u)
-        _kernels.apply_diag(diag, op.gate.diag, targets, u, cmask)
-    return diag
+def _compose(ops, wires, amps: np.ndarray) -> np.ndarray:
+    # Apply `ops` in place to `amps`, whose last len(wires) qubits stand
+    # for `wires` in that order, and return it.
+    n = amps.size.bit_length() - 1
+    axis = {q: n - len(wires) + i for i, q in enumerate(wires)}
+    for op in ops:
+        gate, targets = op.gate, [axis[q] for q in op.targets]
+        cmask = _cmask([axis[c] for c in op.controls], n)
+        if gate.diag is not None:
+            _kernels.apply_diag(amps, gate.diag, targets, n, cmask)
+        elif gate.perm is not None:
+            _kernels.apply_perm(amps, gate.perm, targets, n, cmask)
+        else:
+            _kernels.apply_dense(amps, gate.matrix, targets, n, cmask)
+    return amps
+
+
+def _matrix(ops, wires) -> np.ndarray:
+    # The 2^u x 2^u matrix of `ops` over the u qubits `wires`: on a 2u-qubit
+    # register, row j of the identity becomes the image of basis ket j.
+    dim = 2 ** len(wires)
+    rows = _compose(ops, wires, np.eye(dim, dtype=np.complex128).reshape(-1))
+    return rows.reshape(dim, dim).T
 
 
 def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
@@ -265,27 +281,32 @@ def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
             f"op touches qubit {op.max_qubit()} but state has "
             f"{state.num_qubits} qubits"
         )
-    amps = state.amps.copy()
-    _apply_in_place(amps, state.num_qubits, op)
+    amps = _compose([op], range(state.num_qubits), state.amps.copy())
     return StateVector(state.num_qubits, amps)
 
 
 def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     """Left-to-right composition of the circuit's ops.
 
-    Diagonal gates commute, so each run of two or more consecutive ones is
-    folded into one diagonal and applied in one pass; only rounding differs
-    from applying them one at a time.
+    Ops are applied in groups, one pass over the state each: an op may
+    move ahead of ops on other qubits (with which it commutes) to join an
+    earlier group. A group of diagonal ops is folded into one diagonal
+    over up to 14 qubits; any other group of several ops is multiplied
+    into one dense gate over up to 3. Only rounding differs from applying
+    the ops one at a time.
     """
     if circuit.num_qubits != input.num_qubits:
         raise ValueError("circuit and state widths differ")
     n = circuit.num_qubits
     amps = input.amps.copy()
-    for run, wires in _runs(circuit.ops):
+    for run, wires in _groups(circuit.ops):
         if len(run) == 1:
-            _apply_in_place(amps, n, run[0])
+            _compose(run, range(n), amps)
+        elif all(op.gate.diag is not None for op in run):
+            diag = _compose(run, wires, np.ones(2 ** len(wires), dtype=np.complex128))
+            _kernels.apply_diag(amps, diag, wires, n, 0)
         else:
-            _kernels.apply_diag(amps, _fold(run, wires), wires, n, 0)
+            _kernels.apply_dense(amps, _matrix(run, wires), wires, n, 0)
     return StateVector(n, amps)
 
 
@@ -296,13 +317,7 @@ def circuit_matrix(circuit: QuantumCircuit) -> np.ndarray:
             f"num_qubits = {circuit.num_qubits}: circuit_matrix is limited to "
             f"{_MAX_GATE_QUBITS} qubits"
         )
-    dim = 2**circuit.num_qubits
-    cols = np.eye(dim, dtype=np.complex128)
-    for j in range(dim):
-        # Row j of `cols` is the contiguous image of basis ket j.
-        for op in circuit.ops:
-            _apply_in_place(cols[j], circuit.num_qubits, op)
-    return cols.T.copy()
+    return _matrix(circuit.ops, range(circuit.num_qubits)).copy()
 
 
 def outcome_probability(state: StateVector, projector: Projector) -> float:

@@ -331,6 +331,8 @@ def test_weight_gradient_matches_finite_difference_formula():
         ("shots", -1),
         ("shots", 2**63),
         ("epochs", 10**13),
+        ("n_d", 10**12),
+        ("n_g", 10**12),
     ],
 )
 def test_train_config_names_the_rejected_key(key, value):
@@ -369,6 +371,20 @@ def test_train_config_bounds_the_trace_and_the_shots():
     TrainConfig(n_qubits=1, epochs=most, shots=2**63 - 1)
     with pytest.raises(ValueError, match="^epochs = "):
         TrainConfig(n_qubits=1, epochs=most + 1)
+
+
+def test_train_config_bounds_the_work_per_epoch():
+    # The defaults are accepted at every width; past the budget the
+    # larger of the two terms names its key.
+    for n in range(1, MAX_QUBITS + 1):
+        TrainConfig(n_qubits=n)
+    theta_probes = len(adversarial._shift_rule(4)[0])
+    most = (adversarial._EPOCH_BUDGET // 2**4 - theta_probes) // (2 * 4)
+    TrainConfig(n_qubits=4, epochs=1, n_d=most)
+    with pytest.raises(ValueError, match="^n_d = "):
+        TrainConfig(n_qubits=4, epochs=1, n_d=most + 1)
+    with pytest.raises(ValueError, match="^n_g = "):
+        TrainConfig(n_qubits=4, epochs=1, n_g=adversarial._EPOCH_BUDGET // theta_probes)
 
 
 def test_train_config_defaults():

@@ -396,6 +396,8 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("train", '{"n_qubits": 2, "shots": 9223372036854775808}', "shots", 2),
         ("train", '{"n_qubits": 2, "fd_step": 0}', "fd_step", 2),
         ("train", '{"n_qubits": 2, "fd_step": 8}', "fd_step", 2),
+        ("train", '{"n_qubits": 4, "epochs": 1, "n_d": 1000000000000}', "n_d", 2),
+        ("train", '{"n_qubits": 4, "epochs": 1, "n_g": 1000000000000}', "n_g", 2),
         # The sigmoid rounds to 1.0 from decoded product 38 up.
         (
             "train",

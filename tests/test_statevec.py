@@ -2,6 +2,7 @@
 independent full-matrix oracle for controlled application, and norm
 preservation under random circuits."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qgansim import _kernels, statevec
+from qgansim.fourier import qft_circuit
 from qgansim.statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -330,6 +332,33 @@ def test_circuit_matrix_reproduces_composition():
     assert_allclose(circuit_matrix(circ), expect, atol=1e-12)
 
 
+def per_column_matrix(circuit):
+    """circuit_matrix built column by column: each basis ket through apply_op."""
+    n = circuit.num_qubits
+    cols = []
+    for j in range(2**n):
+        state = basis_ket(n, j)
+        for op in circuit.ops:
+            state = apply_op(state, op)
+        cols.append(state.amps)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_circuit_matrix_matches_the_per_column_build_on_the_qft(n):
+    circuit = qft_circuit(n)
+    assert_allclose(circuit_matrix(circuit), per_column_matrix(circuit), rtol=0, atol=1e-14)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_circuit_matrix_matches_the_per_column_build_on_mixed_circuits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    circuit = QuantumCircuit(n, tuple(_random_op(rng, n) for _ in range(int(rng.integers(1, 12)))))
+    assert_allclose(circuit_matrix(circuit), per_column_matrix(circuit), rtol=0, atol=1e-14)
+
+
 def test_outcome_probability_on_plus_state():
     plus = apply_op(basis_ket(1, 0), CircuitOp(hadamard(), (0,)))
     assert_allclose(outcome_probability(plus, Projector(0, 1)), 0.5, atol=1e-15)
@@ -348,6 +377,21 @@ def test_register_distribution_marginalizes_trailing_qubits():
 def test_tensor_puts_left_factor_most_significant():
     joint = tensor(basis_ket(1, 1), basis_ket(2, 0))
     assert joint.amps[4] == 1.0
+
+
+@pytest.mark.parametrize("left, right", [(20, 20), (20, 2)])
+def test_tensor_refuses_wide_products_before_allocating(left, right):
+    # np.kron of two 20-qubit kets would need 16 TiB; 22 qubits, 64 MiB.
+    a, b = basis_ket(left, 0), basis_ket(right, 0)
+    message = rf"^num_qubits must be in \[1, {MAX_QUBITS}\], got {left + right}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            tensor(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_inner_conjugates_left_argument():
@@ -434,13 +478,16 @@ def _random_op(rng, n):
 
 
 @pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 2])
+@pytest.mark.parametrize("fuse_qubits", [1, 2, _kernels._FUSE_QUBITS])
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_run_circuit_matches_op_by_op_application(block_qubits, seed):
-    # block_qubits=2 splits diagonal runs after two qubits and applies dense
-    # and permutation gates in sub-views of four amplitudes.
+def test_run_circuit_matches_op_by_op_application(block_qubits, fuse_qubits, seed):
+    # block_qubits=2 splits diagonal groups after two qubits and applies
+    # dense and permutation gates in sub-views of four amplitudes;
+    # fuse_qubits=1 fuses only ops on one and the same qubit.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+        mp.setattr(_kernels, "_FUSE_QUBITS", fuse_qubits)
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         ops = tuple(_random_op(rng, n) for _ in range(int(rng.integers(1, 30))))
@@ -452,14 +499,23 @@ def test_run_circuit_matches_op_by_op_application(block_qubits, seed):
     assert_allclose(out.amps, expected.amps, rtol=0, atol=1e-12)
 
 
-def test_diagonal_runs_end_at_the_block_width():
-    # The controlled-phase sweep over 20 wires: op q couples wires q and
-    # q + 1, so a run stops when a 15th wire would join it.
-    ops = [CircuitOp(diagonal([0.0, 0.1 * q]), (q + 1,), (q,)) for q in range(19)]
-    runs = statevec._runs(ops)
-    assert [len(run) for run, _ in runs] == [13, 6]
-    assert [wires for _, wires in runs] == [list(range(14)), list(range(13, 20))]
-    # A dense gate ends a run and is a run of its own.
-    runs = statevec._runs(ops[:5] + [CircuitOp(hadamard(), (0,))] + ops[5:])
-    assert [len(run) for run, _ in runs] == [5, 1, 13, 1]
-    assert [wires for _, wires in runs] == [list(range(6)), [0], list(range(5, 19)), [18, 19]]
+def test_groups_fuse_ops_that_commute_into_place():
+    # The controlled-phase sweep over 20 qubits: op q couples qubits q and
+    # q + 1, so a diagonal group stops when a 15th qubit would join it.
+    sweep = [CircuitOp(diagonal([0.0, 0.1 * q]), (q + 1,), (q,)) for q in range(19)]
+    groups = statevec._groups(sweep)
+    assert [len(run) for run, _ in groups] == [13, 6]
+    assert [wires for _, wires in groups] == [list(range(14)), list(range(13, 20))]
+    # An RY layer: ops on fresh qubits fill each dense group to the width.
+    width = _kernels._FUSE_QUBITS
+    groups = statevec._groups([CircuitOp(ry(0.1 * q), (q,)) for q in range(20)])
+    assert [wires for _, wires in groups] == [
+        list(range(q, min(q + width, 20))) for q in range(0, 20, width)
+    ]
+    # H(5) may not move ahead of crz(0, 5), which shares qubit 5 with it,
+    # into H(0)'s group, though that group has room for it.
+    h0, h1, h5 = (CircuitOp(hadamard(), (q,)) for q in (0, 1, 5))
+    cz = CircuitOp(crz(0.3), (0, 5), (6,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_FUSE_QUBITS", 3)
+        assert [run for run, _ in statevec._groups([h0, h1, cz, h5])] == [[h0, h1], [cz, h5]]
