@@ -351,7 +351,6 @@ def train(
     cfg: TrainConfig,
     target: DiscreteDistribution,
     disc: DiscriminatorConfig | None = None,
-    theta_init: np.ndarray | None = None,
 ) -> TrainTrace:
     """Alternating SGD: n_d ascent steps on w, then n_g descent on theta.
 
@@ -367,8 +366,7 @@ def train(
     layer and the draw is used as is). The label probability is blind to
     amplitude signs (the discriminator never mixes data basis states), so
     a sign mismatch could never be trained away; starting aligned keeps
-    the fidelity target reachable. The draw is made even when theta_init
-    replaces it, so later draws do not depend on theta_init.
+    the fidelity target reachable.
 
     When an ascent phase ends without a separating witness (score not
     above zero), the next phase starts from a fresh uniform weight draw
@@ -391,12 +389,6 @@ def train(
     fast = FastDiscriminator(disc if disc is not None else training_discriminator(n), n)
     rng = np.random.default_rng(cfg.seed)
     thetas = _initial_thetas(n, rng)
-    if theta_init is not None:
-        thetas = np.array(theta_init, dtype=float)
-        if thetas.size != num_params(n):
-            raise ValueError(
-                f"theta_init has {thetas.size} angles, ansatz takes {num_params(n)}"
-            )
     wvec = rng.uniform(-1.0, 1.0, n)
 
     target_sv = target_state(target)

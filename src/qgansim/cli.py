@@ -128,11 +128,28 @@ def _echo_line(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
-def _parse_vector(text: str, name: str) -> np.ndarray:
+def _echo_distribution(dist: np.ndarray) -> None:
+    for outcome, prob in enumerate(dist):
+        if prob > _PROB_FLOOR:
+            _echo_line({"outcome": outcome, "prob": float(prob)})
+
+
+def _parse_xw(x_text: str, w_text: str) -> tuple[np.ndarray, WeightVector]:
+    # The input vector and weights of `demo qip` and `demo neuron`. Weight
+    # messages do not name w, so a refusal here names the option.
+    vectors = []
+    for name, text in (("--x", x_text), ("--w", w_text)):
+        try:
+            vectors.append(np.array([float(part) for part in text.split(",")]))
+        except ValueError:
+            raise click.UsageError(f"{name} must be comma-separated numbers")
+    x, w = vectors
+    if x.size != w.size:
+        raise click.UsageError("--x and --w must have equal length")
     try:
-        return np.array([float(part) for part in text.split(",")])
-    except ValueError:
-        raise click.UsageError(f"{name} must be comma-separated numbers")
+        return x, WeightVector(w)
+    except ValueError as exc:
+        raise click.UsageError(f"--w = {w_text}: {exc}")
 
 
 @click.group()
@@ -258,9 +275,7 @@ def demo_qpe(phi: float, ancillas: int) -> None:
         dist = qpe_distribution(unitary, basis_ket(1, 1), ancillas)
     except ValueError as exc:
         raise click.UsageError(f"--m = {ancillas}: {exc}")
-    for outcome, prob in enumerate(dist):
-        if prob > _PROB_FLOOR:
-            _echo_line({"outcome": outcome, "prob": float(prob)})
+    _echo_distribution(dist)
 
 
 @demo.command(name="qip")
@@ -270,18 +285,13 @@ def demo_qpe(phi: float, ancillas: int) -> None:
 @click.option("--m", "ancillas", type=int, default=3)
 def demo_qip(x_text: str, w_text: str, precision: int, ancillas: int) -> None:
     """Inner-product register estimate and its outcome distribution."""
-    x = _parse_vector(x_text, "--x")
-    w = _parse_vector(w_text, "--w")
-    if x.size != w.size:
-        raise click.UsageError("--x and --w must have equal length")
+    x, w = _parse_xw(x_text, w_text)
     try:
-        estimate, dist = qip(x, WeightVector(w), ancillas, precision)
+        estimate, dist = qip(x, w, ancillas, precision)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _echo_line({"estimate": int(estimate)})
-    for outcome, prob in enumerate(dist):
-        if prob > _PROB_FLOOR:
-            _echo_line({"outcome": outcome, "prob": float(prob)})
+    _echo_distribution(dist)
 
 
 @demo.command(name="neuron")
@@ -299,20 +309,15 @@ def demo_neuron(
     x_text: str, w_text: str, activation: str, m1: int, m2: int, precision: int
 ) -> None:
     """Activation-register distribution of the quantum neuron."""
-    x = _parse_vector(x_text, "--x")
-    w = _parse_vector(w_text, "--w")
-    if x.size != w.size:
-        raise click.UsageError("--x and --w must have equal length")
+    x, w = _parse_xw(x_text, w_text)
     try:
         # Before the activation, which scales by 2^m2 and tabulates 2^m2 values.
         check_neuron_width(m1, m2, x.size, precision)
         fn = _activation(activation, m1, m2)
-        dist = neuron_forward(x, WeightVector(w), fn, m1, m2, precision)
+        dist = neuron_forward(x, w, fn, m1, m2, precision)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    for outcome, prob in enumerate(dist):
-        if prob > _PROB_FLOOR:
-            _echo_line({"outcome": outcome, "prob": float(prob)})
+    _echo_distribution(dist)
 
 
 if __name__ == "__main__":

@@ -14,23 +14,13 @@ Measuring the most significant activation qubit as |1> is the label
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log2
 
 import numpy as np
 
-from .qneuron import ActivationFn, WeightVector, activation_table, neuron_circuit
-from .qneuron import signed_decode, sigmoid_activation
-from .statevec import (
-    MAX_QUBITS,
-    Projector,
-    QuantumCircuit,
-    StateVector,
-    basis_ket,
-    check_int,
-    outcome_probability,
-    run_circuit,
-    tensor,
-)
+from .phase_estimation import register_readout
+from .qneuron import ActivationFn, WeightVector, activation_table, check_neuron_width
+from .qneuron import min_signed_ancillas, neuron_circuit, signed_decode, sigmoid_activation
+from .statevec import QuantumCircuit, StateVector
 
 DiscriminatorWeights = WeightVector
 
@@ -63,19 +53,10 @@ class DiscriminatorConfig:
     activation: ActivationFn = field(default_factory=sigmoid_activation)
 
     def __post_init__(self):
-        check_int("m1", self.m1, 1)
-        check_int("m2", self.m2, 1)
-        if self.m1 + self.m2 >= MAX_QUBITS:
-            raise ValueError(
-                f"m1 = {self.m1} and m2 = {self.m2} ancillas leave no data qubit "
-                f"within the {MAX_QUBITS}-qubit circuit limit"
-            )
+        # At least one data qubit must fit beside the two registers.
+        check_neuron_width(self.m1, self.m2, 1, 1)
 
-    @staticmethod
-    def min_m2(n: int) -> int:
-        # The register sees bits.w / 2 in [-n/2, n/2]; both endpoints must
-        # decode distinctly, so 2^(m2-1) > n/2 - 1, i.e. m2 > log2(n).
-        return ceil(log2(n)) + 1 if n > 1 else 1
+    min_m2 = staticmethod(min_signed_ancillas)
 
     def check_width(self, n: int) -> np.ndarray:
         """Raise unless the perceptron circuit on n data qubits can be built.
@@ -88,11 +69,7 @@ class DiscriminatorConfig:
                 f"m2 = {self.m2} cannot hold signed products of {n} features; "
                 f"need at least {self.min_m2(n)}"
             )
-        if self.m1 + self.m2 + n > MAX_QUBITS:
-            raise ValueError(
-                f"m1 = {self.m1} and m2 = {self.m2} ancillas with {n} data qubits "
-                f"exceed the {MAX_QUBITS}-qubit circuit limit"
-            )
+        check_neuron_width(self.m1, self.m2, n, 1)
         products = signed_decode(np.arange(2**self.m2), self.m2)
         return activation_table(self.activation, products)
 
@@ -115,11 +92,13 @@ def build_discriminator(
 def label_real_probability(
     w: DiscriminatorWeights, cfg: DiscriminatorConfig, input: StateVector
 ) -> float:
-    """P(first activation qubit measures 1) = P(label Real)."""
+    """P(first activation qubit measures 1) = P(label Real).
+
+    That qubit reads 1 on the upper half of the m1-register outcomes.
+    """
     circuit = build_discriminator(w, cfg, input.num_qubits)
-    initial = tensor(basis_ket(cfg.m1 + cfg.m2, 0), input)
-    final = run_circuit(circuit, initial)
-    return outcome_probability(final, Projector(0, 1))
+    dist = register_readout(circuit, cfg.m1 + cfg.m2, input, cfg.m1)
+    return float(dist[2 ** (cfg.m1 - 1) :].sum())
 
 
 class FastDiscriminator:

@@ -4,7 +4,8 @@ The ancilla register (most significant qubits) is prepared with
 Hadamards, each ancilla controls the unitary raised to its bit weight,
 and an inverse QFT turns the accumulated phases into an m-bit estimate.
 estimation_circuit builds that construction for every phase estimation
-in the package, the quantum neuron's two included.
+in the package, the quantum neuron's two included, and register_readout
+runs each of them and reads its register.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _EIGEN_TOL = 1e-8
 
 
 def size_ancillas(accuracy_bits: int, failure_prob: float) -> int:
-    """Ancilla count m = accuracy_bits + ceil(log2(2 + 1/(2*eps)))."""
+    """Ancilla count m = accuracy_bits + the ceiling of log2(2 + 1/(2*eps))."""
     check_int("accuracy_bits", accuracy_bits, 1)
     check_real("failure_prob", failure_prob)
     if not 0.0 < failure_prob < 1.0:
@@ -75,6 +76,14 @@ def estimation_circuit(width: int, first: int, m: int, kernel_ops) -> QuantumCir
     ops.extend(kernel_ops)
     ops.extend(inverse.ops)
     return QuantumCircuit(width, tuple(ops))
+
+
+def register_readout(
+    circuit: QuantumCircuit, ancillas: int, data: StateVector, read: int
+) -> np.ndarray:
+    """Distribution of the first `read` qubits after `circuit` runs on |0>^ancillas (x) data."""
+    initial = tensor(basis_ket(ancillas, 0), data)
+    return register_distribution(run_circuit(circuit, initial), read)
 
 
 def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
@@ -117,9 +126,7 @@ def qpe_distribution(
 ) -> np.ndarray:
     """Exact measurement distribution over the 2^m ancilla outcomes."""
     _check_eigenstate(unitary, eigenstate)
-    circuit = qpe_circuit(unitary, ancillas)
-    initial = tensor(basis_ket(ancillas, 0), eigenstate)
-    return register_distribution(run_circuit(circuit, initial), ancillas)
+    return register_readout(qpe_circuit(unitary, ancillas), ancillas, eigenstate, ancillas)
 
 
 def estimate_phase(

@@ -18,7 +18,7 @@ from math import ceil, log2
 import numpy as np
 
 from .fourier import encode_fraction
-from .phase_estimation import estimation_circuit
+from .phase_estimation import estimation_circuit, register_readout
 from .statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -28,10 +28,7 @@ from .statevec import (
     check_int,
     crz,
     diagonal,
-    register_distribution,
-    run_circuit,
     shift_circuit,
-    tensor,
 )
 
 
@@ -51,15 +48,6 @@ class WeightVector:
             raise ValueError("every |w_j| must be at most 1")
         arr.flags.writeable = False
         object.__setattr__(self, "w", arr)
-
-
-@dataclass(frozen=True)
-class EncodedInput:
-    """Input vector x in [0,1]^n held as the basis state of its p-bit digits."""
-
-    values: tuple
-    precision: int
-    register: StateVector
 
 
 @dataclass(frozen=True)
@@ -111,19 +99,15 @@ def activation_table(fn: ActivationFn, inputs: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def encode_input(x, precision: int) -> EncodedInput:
+def encode_input(x, precision: int) -> StateVector:
     """Basis state |x_{0,1} ... x_{n-1,p}> of the p-bit digits of each x_j."""
-    values = tuple(float(v) for v in x)
-    if not values:
+    all_bits = [b for v in x for b in encode_fraction(float(v), precision).bits]
+    if not all_bits:
         raise ValueError("input vector must be nonempty")
-    all_bits = []
-    for v in values:
-        all_bits.extend(encode_fraction(v, precision).bits)
     index = 0
     for b in all_bits:
         index = (index << 1) | b
-    register = basis_ket(len(all_bits), index)
-    return EncodedInput(values, precision, register)
+    return basis_ket(len(all_bits), index)
 
 
 def truncated(x, precision: int) -> np.ndarray:
@@ -145,7 +129,7 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
     width = m + n * precision
     if width > MAX_QUBITS:
         raise ValueError(
-            f"ancillas = {m} with {n} inputs of {precision} digits needs "
+            f"ancillas = {m} with {n} inputs at precision = {precision} needs "
             f"{width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
         )
     ops = []
@@ -157,14 +141,6 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
     return QuantumCircuit(width, tuple(ops))
 
 
-def _ancilla_distribution(x, w: WeightVector, m: int, precision: int) -> np.ndarray:
-    """Run H's, U_wm, inverse QFT; return the ancilla outcome distribution."""
-    u_wm = build_u_wm(w, m, precision)
-    circuit = estimation_circuit(u_wm.num_qubits, 0, m, u_wm.ops)
-    initial = tensor(basis_ket(m, 0), encode_input(x, precision).register)
-    return register_distribution(run_circuit(circuit, initial), m)
-
-
 def qip(x, w: WeightVector, ancillas: int, precision: int):
     """Estimate the nonnegative inner product x~ . w on an m-bit register.
 
@@ -172,8 +148,19 @@ def qip(x, w: WeightVector, ancillas: int, precision: int):
     index on ties) and the exact outcome distribution. Integer products
     below 2^m are recovered with probability 1.
     """
-    dist = _ancilla_distribution(x, w, ancillas, precision)
+    u_wm = build_u_wm(w, ancillas, precision)
+    circuit = estimation_circuit(u_wm.num_qubits, 0, ancillas, u_wm.ops)
+    dist = register_readout(circuit, ancillas, encode_input(x, precision), ancillas)
     return int(np.argmax(dist)), dist
+
+
+def min_signed_ancillas(n: int) -> int:
+    """Fewest register qubits holding the signed products of n inputs.
+
+    The halved-weight register sees products in [-n/2, n/2]; both ends
+    must decode distinctly, so 2^(m-1) > n/2 - 1, i.e. m > log2(n).
+    """
+    return ceil(log2(n)) + 1
 
 
 def signed_decode(outcome, ancillas: int):
@@ -187,18 +174,17 @@ def signed_decode(outcome, ancillas: int):
 def qip_signed(x, w: WeightVector, ancillas: int, precision: int) -> float:
     """Estimate a signed inner product via the halved-weight scheme.
 
-    Requires ancillas >= ceil(log2(n)) + 1 so that |x~ . w| < 2^m and the
+    Requires ancillas >= min_signed_ancillas(n) so that |x~ . w| < 2^m and the
     register's positive and negative halves cannot collide. The returned
     estimate lives on the even grid, so it matches the true product only
     up to the register resolution of 2.
     """
     n = len(tuple(x))
-    required = ceil(log2(n)) + 1
+    required = min_signed_ancillas(n)
     if ancillas < required:
         raise ValueError(f"need ancillas >= {required} for n = {n} inputs")
-    halved = WeightVector(np.asarray(w.w) / 2.0)
-    dist = _ancilla_distribution(x, halved, ancillas, precision)
-    return float(signed_decode(int(np.argmax(dist)), ancillas))
+    estimate, _ = qip(x, WeightVector(np.asarray(w.w) / 2.0), ancillas, precision)
+    return float(signed_decode(estimate, ancillas))
 
 
 def build_activation(fn: ActivationFn, input_qubits: int, ancillas: int) -> QuantumCircuit:
@@ -247,8 +233,8 @@ def check_neuron_width(m1: int, m2: int, inputs: int, precision: int) -> None:
     width = m1 + m2 + inputs * precision
     if width > MAX_QUBITS:
         raise ValueError(
-            f"ancillas m1 = {m1} and m2 = {m2} with {inputs} inputs of {precision} "
-            f"digits need {width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
+            f"ancillas m1 = {m1} and m2 = {m2} with {inputs} inputs at precision = {precision} "
+            f"need {width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
         )
 
 
@@ -264,5 +250,4 @@ def neuron_forward(
     """
     check_neuron_width(m1, m2, w.w.size, precision)
     circuit = neuron_circuit(w, activation_table(fn, np.arange(2**m2)), m1, precision)
-    initial = tensor(basis_ket(m1 + m2, 0), encode_input(x, precision).register)
-    return register_distribution(run_circuit(circuit, initial), m1)
+    return register_readout(circuit, m1 + m2, encode_input(x, precision), m1)

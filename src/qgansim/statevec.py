@@ -175,20 +175,6 @@ class QuantumCircuit:
         object.__setattr__(self, "ops", ops)
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Measurement projector onto one outcome of one qubit."""
-
-    qubit: int
-    outcome: int
-
-    def __post_init__(self):
-        if self.outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        if self.qubit < 0:
-            raise ValueError("qubit index must be nonnegative")
-
-
 def basis_ket(num_qubits: int, index: int) -> StateVector:
     """|index> on num_qubits qubits."""
     # Checked before the 2^num_qubits amplitudes are allocated.
@@ -320,17 +306,6 @@ def circuit_matrix(circuit: QuantumCircuit) -> np.ndarray:
     return _matrix(circuit.ops, range(circuit.num_qubits)).copy()
 
 
-def outcome_probability(state: StateVector, projector: Projector) -> float:
-    """Probability that measuring `projector.qubit` yields `projector.outcome`."""
-    q = projector.qubit
-    if q >= state.num_qubits:
-        raise ValueError(f"qubit {q} out of range")
-    probs = state.probabilities()
-    # Axis split: leading 2^q block indices, the measured qubit, the rest.
-    cube = probs.reshape(2**q, 2, -1)
-    return float(cube[:, projector.outcome, :].sum())
-
-
 def register_distribution(state: StateVector, num_leading: int) -> np.ndarray:
     """Marginal outcome distribution of the first `num_leading` qubits."""
     if not 1 <= num_leading <= state.num_qubits:
@@ -388,7 +363,9 @@ def diagonal(phases) -> UnitaryGate:
         raise ValueError(f"diagonal gate on {arity} qubits, over the limit of {MAX_QUBITS}")
     if not np.all(np.isfinite(ph)):  # before np.exp warns about them
         raise ValueError("phases must be finite")
-    return UnitaryGate(arity, diag=np.exp(2j * np.pi * ph))
+    # e^(2 i pi ph) has period 1. Reduced first, a huge phase cannot lose
+    # its whole turns to rounding (or overflow) in the product with 2 pi.
+    return UnitaryGate(arity, diag=np.exp(2j * np.pi * np.remainder(ph, 1.0)))
 
 
 def shift_circuit(circuit: QuantumCircuit, offset: int, new_width: int) -> QuantumCircuit:

@@ -250,16 +250,6 @@ def test_train_rejects_width_mismatch():
         train(TrainConfig(n_qubits=3, epochs=1), target)
 
 
-def test_train_accepts_theta_init():
-    target = DiscreteDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
-    cfg = TrainConfig(n_qubits=2, epochs=1, lr_d=1.0, lr_g=1.0, seed=0)
-    init = np.array([0.3, 0.9, 1.4])
-    trace = train(cfg, target, theta_init=init)
-    assert trace.num_epochs == 1
-    with pytest.raises(ValueError):
-        train(cfg, target, theta_init=np.array([0.1, 0.2]))
-
-
 def test_train_initial_amplitudes_are_nonnegative():
     # The initializer resamples until the generated amplitudes share the
     # target's (nonnegative) sign pattern; labels cannot see signs, so a

@@ -5,11 +5,14 @@ import json
 import shlex
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgansim.cli import main
 
@@ -249,6 +252,20 @@ def test_demo_qpe_exact_phase(runner):
     assert abs(rows[0]["prob"] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("phi", ["1e17", "1e308", "-1e308"])
+def test_demo_qpe_of_a_huge_whole_phase_is_a_point_mass_at_zero(runner, phi):
+    # Each phase is a whole number of turns; 2 pi phi would round away
+    # its turns (or overflow) unless the phase is reduced mod 1 first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["demo", "qpe", "--phi", phi, "--m", "3"])
+    assert result.exit_code == 0, combined(result)
+    rows = [json.loads(line) for line in result.output.splitlines()]
+    assert len(rows) == 1
+    assert rows[0]["outcome"] == 0
+    assert abs(rows[0]["prob"] - 1.0) < 1e-12
+
+
 def test_demo_qip_integer_product(runner):
     result = runner.invoke(
         main,
@@ -416,3 +433,88 @@ def test_malformed_config_is_rejected_naming_the_key(runner, tmp_path, command, 
     assert isinstance(result.exception, SystemExit), result.exception
     assert key in combined(result)
     assert not out.exists()
+
+
+# Option sets for the demos. Each option mostly takes a value the demo must
+# accept; one time in eight it takes one that the demo must refuse (for
+# --x and --w, in one entry), and the refusal must name the option: its
+# flag, or the library name it is handed over as. Accepted sets stay
+# within 12 qubits.
+_BAD_WIDTHS = [0, -1, 25, 10**9]
+_BAD_X = ["nan", "inf", "-0.5", "1.5", "1e308", "-1e308"]
+_BAD_W = ["nan", "inf", "-inf", "1.0000001", "1e308", "-1e308"]
+_HUGE_PHASES = ["1e17", "-1e17", "1e308", "-1e308", "4503599627370497", "1e-320"]
+
+
+def _pick(draw, refused, names, good, bad):
+    if draw(st.integers(0, 7)):
+        return str(draw(good))
+    refused.update(names)
+    return str(draw(st.sampled_from(bad)))
+
+
+def _vector(draw, refused, names, size, good, bad):
+    entries = [str(draw(good)) for _ in range(size)]
+    if not draw(st.integers(0, 7)):
+        refused.update(names)
+        entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from(bad))
+    return ",".join(entries)
+
+
+def _vectors(draw, refused, n):
+    # --x and --w of n entries each, or of unequal lengths.
+    w_size = n if draw(st.integers(0, 9)) else n + 1
+    if w_size != n:
+        refused.update(("--x", "--w"))
+    x = _vector(draw, refused, ("--x", "x must be"), n, st.floats(0.0, 1.0), _BAD_X)
+    w = _vector(draw, refused, ("--w",), w_size, st.floats(-1.0, 1.0), _BAD_W)
+    return ["--x", x, "--w", w]
+
+
+@st.composite
+def demo_options(draw):
+    """(demo args, names one of which a refusal must give; empty if accepted)."""
+    refused = set()
+    demo = draw(st.sampled_from(["qft", "qpe", "qip", "neuron"]))
+    if demo == "qft":
+        n = _pick(draw, refused, ("--n",), st.integers(1, 12), _BAD_WIDTHS)
+        top = 2 ** int(n) - 1 if 1 <= int(n) <= 12 else 3
+        basis = _pick(draw, refused, ("--basis",), st.integers(0, top), [-1, top + 1])
+        return ["qft", "--n", n, "--basis", basis], refused
+    if demo == "qpe":
+        phases = st.floats(-10.0, 10.0) | st.sampled_from(_HUGE_PHASES)
+        phi = _pick(draw, refused, ("--phi",), phases, ["nan", "inf", "-inf", "1e400"])
+        m = _pick(draw, refused, ("--m",), st.integers(1, 11), [0, -1, 20, 10**9])
+        return ["qpe", "--phi", phi, "--m", m], refused
+    small = st.integers(1, 3)
+    if demo == "qip":
+        args = ["qip", *_vectors(draw, refused, draw(small))]
+        args += ["-p", _pick(draw, refused, ("precision",), small, _BAD_WIDTHS)]
+        args += ["--m", _pick(draw, refused, ("ancillas",), small, _BAD_WIDTHS)]
+        return args, refused
+    args = ["neuron", *_vectors(draw, refused, draw(st.integers(1, 2)))]
+    args += ["--activation", draw(st.sampled_from(["sigmoid", "identity", "threshold"]))]
+    args += ["-p", _pick(draw, refused, ("precision",), small, _BAD_WIDTHS)]
+    args += ["--m1", _pick(draw, refused, ("m1",), small, _BAD_WIDTHS)]
+    args += ["--m2", _pick(draw, refused, ("m2",), small, _BAD_WIDTHS)]
+    return args, refused
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(demo_options())
+def test_demo_option_sets_print_a_distribution_or_name_the_bad_option(options):
+    args, refused = options
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["demo", *args])
+    # No traceback: a RuntimeWarning or any other exception lands here.
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exception
+    )
+    if refused:
+        assert result.exit_code == 2, (args, combined(result))
+        assert any(name in result.stderr for name in refused), (args, result.stderr)
+    else:
+        assert result.exit_code == 0, (args, combined(result))
+        probs = [json.loads(line).get("prob", 0.0) for line in result.output.splitlines()]
+        assert abs(sum(probs) - 1.0) < 1e-9, args

@@ -9,14 +9,37 @@ from qgansim.phase_estimation import (
     estimate_phase,
     qpe_circuit,
     qpe_distribution,
+    register_readout,
     size_ancillas,
 )
-from qgansim.statevec import MAX_QUBITS, UnitaryGate, basis_ket, diagonal
+from qgansim.statevec import (
+    MAX_QUBITS,
+    CircuitOp,
+    QuantumCircuit,
+    UnitaryGate,
+    basis_ket,
+    diagonal,
+    hadamard,
+)
 from test_qneuron import closed_form_register
 
 
 def phase_unitary(phi):
     return diagonal([0.0, phi])
+
+
+def test_register_readout_on_plus_state():
+    # H on the ancilla of |0> (x) |1>: the plus state on the leading qubit.
+    circuit = QuantumCircuit(2, (CircuitOp(hadamard(), (0,)),))
+    data = basis_ket(1, 1)
+    np.testing.assert_allclose(register_readout(circuit, 1, data, 1), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(
+        register_readout(circuit, 1, data, 2), [0.0, 0.5, 0.0, 0.5], atol=1e-15
+    )
+    with pytest.raises(ValueError, match="register width"):
+        register_readout(circuit, 1, data, 3)
+    with pytest.raises(ValueError, match="widths differ"):
+        register_readout(circuit, 2, data, 1)
 
 
 def test_exact_phases_are_point_masses():

@@ -48,11 +48,12 @@ def test_weight_vector_validation():
 
 
 def test_encode_input_concatenates_digit_registers():
-    enc = encode_input([0.75, 0.25], 2)
+    state = encode_input([0.75, 0.25], 2)
     # digits 11 and 01 concatenate to index 0b1101 = 13
-    assert enc.register.num_qubits == 4
-    assert enc.register.amps[13] == 1.0
-    assert enc.values == (0.75, 0.25)
+    assert state.num_qubits == 4
+    assert state.amps[13] == 1.0
+    with pytest.raises(ValueError, match="nonempty"):
+        encode_input([], 2)
 
 
 def test_truncated_matches_encoding_resolution():
@@ -145,11 +146,11 @@ def test_activation_fn_names():
 def test_build_activation_writes_representable_values_exactly():
     fn = scaled_identity_activation(2)  # sigma(x) = x / 4, register exact
     circ = build_activation(fn, 2, 2)
-    from qgansim.statevec import basis_ket, register_distribution, run_circuit, tensor
+    from qgansim.phase_estimation import register_readout
+    from qgansim.statevec import basis_ket
 
     for x in range(4):
-        out = run_circuit(circ, tensor(basis_ket(2, 0), basis_ket(2, x)))
-        dist = register_distribution(out, 2)
+        dist = register_readout(circ, 2, basis_ket(2, x), 2)
         assert abs(dist[x] - 1.0) < 1e-10
 
 

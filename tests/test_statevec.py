@@ -16,7 +16,6 @@ from qgansim.fourier import qft_circuit
 from qgansim.statevec import (
     MAX_QUBITS,
     CircuitOp,
-    Projector,
     QuantumCircuit,
     StateVector,
     UnitaryGate,
@@ -28,7 +27,6 @@ from qgansim.statevec import (
     diagonal,
     hadamard,
     inner,
-    outcome_probability,
     pauli_x,
     register_distribution,
     ry,
@@ -163,6 +161,21 @@ def test_diagonal_uses_phase_exponents():
         np.diag(dense(gate)), np.exp(2j * np.pi * np.array([0, 0.25, 0.5, 0.75])),
         atol=1e-15,
     )
+
+
+@pytest.mark.parametrize("phase", [1e17, 1e308, -1e308, 2.0**52 + 1.0])
+def test_diagonal_of_huge_whole_phases_is_the_identity(phase):
+    # Each of these phases is a whole number of turns: the gate is the
+    # identity, with no overflow warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = diagonal([0.0, phase])
+    assert np.array_equal(gate.diag, [1.0, 1.0])
+
+
+def test_diagonal_phases_are_taken_mod_one():
+    assert np.array_equal(diagonal([0.0, -0.25]).diag, diagonal([0.0, 0.75]).diag)
+    assert np.array_equal(diagonal([2.5, -3.0]).diag, diagonal([0.5, 0.0]).diag)
 
 
 def test_unitary_gate_rejects_nonunitary():
@@ -359,13 +372,6 @@ def test_circuit_matrix_matches_the_per_column_build_on_mixed_circuits(seed):
     assert_allclose(circuit_matrix(circuit), per_column_matrix(circuit), rtol=0, atol=1e-14)
 
 
-def test_outcome_probability_on_plus_state():
-    plus = apply_op(basis_ket(1, 0), CircuitOp(hadamard(), (0,)))
-    assert_allclose(outcome_probability(plus, Projector(0, 1)), 0.5, atol=1e-15)
-    with pytest.raises(ValueError):
-        outcome_probability(plus, Projector(1, 0))
-
-
 def test_register_distribution_marginalizes_trailing_qubits():
     s = StateVector(2, np.sqrt([0.1, 0.2, 0.3, 0.4]))
     assert_allclose(register_distribution(s, 1), [0.3, 0.7], atol=1e-15)
@@ -408,13 +414,6 @@ def test_shift_circuit_moves_all_wires():
     assert wide.num_qubits == 3
     assert wide.ops[0].targets == (2,)
     assert wide.ops[0].controls == (1,)
-
-
-def test_projector_validation():
-    with pytest.raises(ValueError):
-        Projector(0, 2)
-    with pytest.raises(ValueError):
-        Projector(-1, 0)
 
 
 @given(st.integers(0, 2**32 - 1))
