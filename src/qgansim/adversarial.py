@@ -247,11 +247,12 @@ def _grad_w_raw(fast, wvec, probs, estimate, step) -> np.ndarray:
     return (s[:, 0] - s[:, 1]) / (2.0 * step)
 
 
-def _grad_theta_raw(n, thetas, r, t_probs, estimate, rule) -> np.ndarray:
-    # One batch of shifted generators, all labelled by the same r(w).
+def _grad_theta_raw(n, thetas, r, p_t, estimate, rule) -> np.ndarray:
+    # One batch of shifted generators, all labelled by the same r(w); the
+    # target's P(Real) is p_t = t_probs @ r.
     offsets, weights = rule
     probes = generate_amps(n, thetas + offsets)
-    return weights @ estimate(t_probs @ r, probes**2 @ r)
+    return weights @ estimate(p_t, probes**2 @ r)
 
 
 def grad_theta(
@@ -267,8 +268,8 @@ def grad_theta(
     """
     n = _check_instance(theta, w, target)
     r = FastDiscriminator(cfg, n).label_probs(w.w)
-    t_probs = np.abs(target.amps) ** 2
-    return _grad_theta_raw(n, theta.thetas, r, t_probs, _exact_scores, _shift_rule(n))
+    p_t = np.abs(target.amps) ** 2 @ r
+    return _grad_theta_raw(n, theta.thetas, r, p_t, _exact_scores, _shift_rule(n))
 
 
 def grad_w(
@@ -402,25 +403,28 @@ def train(
     theta_rows = np.empty((e, thetas.size))
     w_rows = np.empty((e, n))
 
+    # Born probabilities of the target and the generated state, as columns.
+    probs = np.empty((2**n, 2))
+    probs[:, 0] = t_probs
     gen = _gen_amps(n, thetas)
     needs_restart = False
     for epoch in range(e):
         gen_probs = gen**2
-        probs = np.stack([t_probs, gen_probs], axis=1)
+        probs[:, 1] = gen_probs
         if needs_restart:
             wvec = rng.uniform(-1.0, 1.0, n)
         for _ in range(cfg.n_d):
             gw = _grad_w_raw(fast, wvec, probs, estimate, cfg.fd_step)
-            wvec = np.clip(wvec + cfg.lr_d * gw, -1.0, 1.0)
+            wvec = (wvec + cfg.lr_d * gw).clip(-1.0, 1.0)
         r = fast.label_probs(wvec)
-        needs_restart = estimate(t_probs @ r, gen_probs @ r) <= 0.0
+        p_t = t_probs @ r
+        needs_restart = estimate(p_t, gen_probs @ r) <= 0.0
         for _ in range(cfg.n_g):
-            thetas = thetas - cfg.lr_g * _grad_theta_raw(
-                n, thetas, r, t_probs, estimate, rule
-            )
+            thetas = thetas - cfg.lr_g * _grad_theta_raw(n, thetas, r, p_t, estimate, rule)
 
         gen = _gen_amps(n, thetas)
         gen_sv = StateVector(n, gen)
+        # p_real reads the r labelled above: wvec has not moved since.
         scores[epoch] = _exact_score(fast, wvec, t_amps, gen)
         fids[epoch] = fidelity(target_sv, gen_sv)
         kls[epoch] = kl_divergence(target, gen_sv)

@@ -280,12 +280,15 @@ def demo_qpe(phi: float, ancillas: int) -> None:
 
 @demo.command(name="qip")
 @click.option("--x", "x_text", type=str, required=True, help="comma-separated in [0,1)")
-@click.option("--w", "w_text", type=str, required=True, help="comma-separated in [-1,1]")
+@click.option("--w", "w_text", type=str, required=True, help="comma-separated in [0,1]")
 @click.option("--precision", "-p", type=int, default=2)
 @click.option("--m", "ancillas", type=int, default=3)
 def demo_qip(x_text: str, w_text: str, precision: int, ancillas: int) -> None:
     """Inner-product register estimate and its outcome distribution."""
     x, w = _parse_xw(x_text, w_text)
+    if np.any(w.w < 0.0):
+        # The register reads a negative product as a large unsigned one.
+        raise click.UsageError(f"--w = {w_text}: qip estimates nonnegative products only")
     try:
         estimate, dist = qip(x, w, ancillas, precision)
     except ValueError as exc:

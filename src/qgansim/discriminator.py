@@ -154,6 +154,7 @@ class FastDiscriminator:
         self._coef = weight * np.fft.fft(readout)[1:]
         self._omega = 2j * np.pi / size
         self._probe_coefs = (None, None)  # (step, shifted coefficients) last probed
+        self._last_r = (None, None)  # ((shape, bytes) of w, its read-only r) last labelled
 
     def _powers(self, w: np.ndarray) -> np.ndarray:
         # Powers z^1 .. z^(N-1) per product t_x: a running product over a stride-0
@@ -167,11 +168,20 @@ class FastDiscriminator:
 
         `w` holds one weight vector (shape (n,)) or a batch of them
         (shape (..., n)). Returns r with shape (..., 2^n), where r[..., x]
-        is P(label Real | basis state x).
+        is P(label Real | basis state x). The last r is kept, read-only, and
+        returned again for a `w` of the same shape and bytes.
         """
-        # einsum, not a BLAS matrix-vector product: OpenBLAS threads those from
-        # a few thousand entries; at n = 8 its threads stalled for milliseconds.
-        return self._a0 + np.einsum("...k,k->...", self._powers(w), self._coef).real
+        w = np.asarray(w, dtype=np.float64)
+        key = (w.shape, w.tobytes())
+        # One tuple, read once: a key is never paired with another w's r.
+        last, r = self._last_r
+        if last != key:
+            # einsum, not a BLAS matrix-vector product: OpenBLAS threads those from
+            # a few thousand entries; at n = 8 its threads stalled for milliseconds.
+            r = self._a0 + np.einsum("...k,k->...", self._powers(w), self._coef).real
+            r.flags.writeable = False
+            self._last_r = (key, r)
+        return r
 
     def weight_probes(self, w: np.ndarray, step: float) -> np.ndarray:
         """Label probabilities r at the probes w + step e_j and w - step e_j.

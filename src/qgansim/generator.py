@@ -158,32 +158,56 @@ def generate_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     CRY pair rotates it by the first angle where qubit k-2 is 1 and by
     the second where it is 0 (the X sandwich). The mixing RYs then act on
     reshaped slices of the full state.
+
+    Every stage writes into buffers made once per call, so no stage
+    allocates, and each amplitude takes its products in gate order, so a
+    row does not depend on the batch. The result is C-contiguous and owns
+    its buffer.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != num_params(n):
         raise ValueError(
             f"ansatz for n = {n} needs angle sets of shape (B, {num_params(n)}), "
             f"got {thetas.shape}"
         )
-    cos, sin = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-    batch = thetas.shape[0]
-    amps = np.stack([cos[:, 0], sin[:, 0]], axis=1)
+    batch, size = thetas.shape[0], 2**n
+    # RY matrix rows [cos, -sin], [sin, cos] of every half angle, each entry a
+    # contiguous (B, P) block: rot[a, s] is entry (a, s), trig[0::2] is (cos, sin).
+    trig = np.empty((4,) + thetas.shape)
+    half = thetas / 2.0
+    np.cos(half, out=trig[0])
+    np.sin(half, out=trig[2])
+    np.negative(trig[2], out=trig[1])
+    trig[3] = trig[0]
+    rot = trig.reshape((2, 2) + thetas.shape)
+    out = np.empty((batch, size))
+    # The cascade alternates between the halves of `work`; each mixing RY
+    # multiplies into all of `work` and adds back into `out`.
+    work = np.empty(2 * batch * size)
+    halves = (work[: batch * size], work[batch * size :])
+    # The cascade holds its qubits newest first, (B, q_(k-1), ..., q_0), so a
+    # stage is one multiply whose inner loop runs along the older qubits.
+    amps = halves[0][: 2 * batch].reshape(batch, 2)
+    np.copyto(amps, trig[0::2, :, 0].T)
     for k in range(2, n + 1):
-        # Angle columns of the pair in control order (0, 1).
-        pair = [2 * k - 2, 2 * k - 3]
-        pairs = amps.reshape(batch, -1, 2)
-        rotated = np.stack(
-            [pairs * cos[:, None, pair], pairs * sin[:, None, pair]], axis=-1
-        )
-        amps = rotated.reshape(batch, -1)
+        # fac[b, t, c]: cos (t = 0) or sin (t = 1) of the pair's angle for
+        # control value c, angle columns 2k - 2 (c = 0) and 2k - 3 (c = 1).
+        fac = trig[0::2, :, 2 * k - 2 : 2 * k - 4 : -1].transpose(1, 0, 2)
+        grown = halves[(k - 1) % 2][: batch * 2**k].reshape(batch, 2, 2, 2 ** (k - 2))
+        np.multiply(amps.reshape(batch, 1, 2, 2 ** (k - 2)), fac[..., None], out=grown)
+        amps = grown
+    # One copy puts the qubits in order, q_0 most significant.
+    qubits = (batch,) + (2,) * n
+    np.copyto(out.reshape(qubits), amps.reshape(qubits).transpose(0, *range(n, 0, -1)))
     for j in range(n - 2):
-        c = cos[:, 2 * n - 1 + j, None, None]
-        s = sin[:, 2 * n - 1 + j, None, None]
-        view = amps.reshape(batch, 2 ** (j + 2), 2, -1)
-        zero, one = view[:, :, 0, :], view[:, :, 1, :]
-        amps = np.stack([c * zero - s * one, s * zero + c * one], axis=2)
-        amps = amps.reshape(batch, -1)
-    return amps
+        # Qubit j + 2 as axis s of (s, B, 2^(j+2), rest); terms[a, s] is matrix
+        # entry (a, s) times slice s, and slice a becomes terms[a, 0] + terms[a, 1].
+        # x + (-y) rounds as x - y, so slice 0 is c * zero - s * one bit for bit.
+        view = out.reshape(batch, 2 ** (j + 2), 2, 2 ** (n - j - 3)).transpose(2, 0, 1, 3)
+        terms = work.reshape((2,) + view.shape)
+        np.multiply(rot[:, :, :, 2 * n - 1 + j, None, None], view, out=terms)
+        np.add(terms[:, 0], terms[:, 1], out=view)
+    return out
 
 
 def exact_params_2q(target: DiscreteDistribution) -> GeneratorParams:

@@ -144,14 +144,16 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
 def qip(x, w: WeightVector, ancillas: int, precision: int):
     """Estimate the nonnegative inner product x~ . w on an m-bit register.
 
-    Returns (estimate, distribution): the modal register outcome (lowest
-    index on ties) and the exact outcome distribution. Integer products
-    below 2^m are recovered with probability 1.
+    Returns (estimate, distribution): the modal register outcome and the
+    exact outcome distribution. Outcomes within 1e-12 of the largest
+    probability tie, and the lowest of them is the estimate. Integer
+    products below 2^m are recovered with probability 1.
     """
     u_wm = build_u_wm(w, ancillas, precision)
     circuit = estimation_circuit(u_wm.num_qubits, 0, ancillas, u_wm.ops)
     dist = register_readout(circuit, ancillas, encode_input(x, precision), ancillas)
-    return int(np.argmax(dist)), dist
+    # argmax of a boolean array is its first True.
+    return int(np.argmax(dist >= dist.max() - 1e-12)), dist
 
 
 def min_signed_ancillas(n: int) -> int:

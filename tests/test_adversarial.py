@@ -32,7 +32,7 @@ from qgansim.discriminator import (
 )
 from qgansim.generator import GeneratorParams, generate_amps, generate_state, num_params
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
-from qgansim.svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution
+from qgansim.svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, discretize, target_state
 
 
 def random_instance(rng, n, m1=1):
@@ -242,6 +242,21 @@ def test_train_is_seed_deterministic():
         assert np.array_equal(getattr(a, name), getattr(b, name))
     c = train(TrainConfig(n_qubits=2, epochs=5, lr_d=1.0, lr_g=1.0, seed=8), target)
     assert not np.array_equal(a.thetas, c.thetas)
+
+
+def test_train_scores_equal_the_score_of_each_recorded_state():
+    # The recorded score reuses the epoch's label probabilities; it must be
+    # the score of the recorded (theta, w), bit for bit.
+    n = 4
+    target = discretize(DEFAULT_SMILE_PARAMS, n)
+    cfg = TrainConfig(n_qubits=n, epochs=25, lr_d=1.0, lr_g=0.5, seed=3)
+    trace = train(cfg, target)
+    disc = training_discriminator(n)
+    target_sv = target_state(target)
+    for e in range(trace.num_epochs):
+        theta = GeneratorParams(trace.thetas[e])
+        w = DiscriminatorWeights(trace.ws[e])
+        assert trace.scores[e] == float(score(theta, w, target_sv, disc)), e
 
 
 def test_train_rejects_width_mismatch():

@@ -288,6 +288,16 @@ def test_demo_qip_rejects_oversized_weights(runner):
     assert result.exit_code == 2
 
 
+def test_demo_qip_refuses_negative_weights(runner):
+    # The register would show the product -0.5 as the unsigned outcome 3.
+    result = runner.invoke(
+        main, ["demo", "qip", "--x", "0.5", "--w", "-1", "-p", "1", "--m", "2"]
+    )
+    assert result.exit_code == 2
+    assert "--w" in result.stderr
+    assert result.stdout == ""
+
+
 def test_demo_neuron_distribution_normalizes(runner):
     # `train` rejects the identity activation; the demo keeps it.
     for activation in ("sigmoid", "identity"):
@@ -461,13 +471,15 @@ def _vector(draw, refused, names, size, good, bad):
     return ",".join(entries)
 
 
-def _vectors(draw, refused, n):
-    # --x and --w of n entries each, or of unequal lengths.
+def _vectors(draw, refused, n, w_low=-1.0):
+    # --x and --w of n entries each, or of unequal lengths; a --w entry below
+    # w_low is refused.
     w_size = n if draw(st.integers(0, 9)) else n + 1
     if w_size != n:
         refused.update(("--x", "--w"))
+    bad_w = _BAD_W if w_low < 0.0 else _BAD_W + ["-0.5", "-1"]
     x = _vector(draw, refused, ("--x", "x must be"), n, st.floats(0.0, 1.0), _BAD_X)
-    w = _vector(draw, refused, ("--w",), w_size, st.floats(-1.0, 1.0), _BAD_W)
+    w = _vector(draw, refused, ("--w",), w_size, st.floats(w_low, 1.0), bad_w)
     return ["--x", x, "--w", w]
 
 
@@ -488,7 +500,7 @@ def demo_options(draw):
         return ["qpe", "--phi", phi, "--m", m], refused
     small = st.integers(1, 3)
     if demo == "qip":
-        args = ["qip", *_vectors(draw, refused, draw(small))]
+        args = ["qip", *_vectors(draw, refused, draw(small), w_low=0.0)]
         args += ["-p", _pick(draw, refused, ("precision",), small, _BAD_WIDTHS)]
         args += ["--m", _pick(draw, refused, ("ancillas",), small, _BAD_WIDTHS)]
         return args, refused

@@ -287,6 +287,36 @@ def test_p_real_is_born_weighted_label_probs():
         assert abs(fast.p_real(w, amps) - expected) <= 1e-15
 
 
+def test_p_real_relabels_after_another_or_a_mutated_weight_vector():
+    # label_probs keeps its last r; every reuse must be of the same w.
+    rng = np.random.default_rng(40)
+    cfg = DiscriminatorConfig(m1=2, m2=4, activation=threshold_activation(2, 16.0))
+    fast = FastDiscriminator(cfg, 4)
+    amps = random_state(rng, 4).amps
+    w, other = rng.uniform(-1.0, 1.0, (2, 4))
+
+    def fresh(weights):
+        return FastDiscriminator(cfg, 4).p_real(weights.copy(), amps)
+
+    first = fast.p_real(w, amps)
+    assert first == fresh(w)
+    fast.label_probs(other)
+    assert fast.p_real(other, amps) == fresh(other) != first
+    assert fast.p_real(w, amps) == first
+    w[1] += 0.25
+    assert fast.p_real(w, amps) == fresh(w) != first
+    # A batch holding the same bytes is another shape, so another key.
+    assert fast.label_probs(w[None]).shape == (1, 16)
+
+
+def test_label_probs_cannot_be_written():
+    fast = FastDiscriminator(DiscriminatorConfig(m1=1, m2=2), 2)
+    r = fast.label_probs(np.array([0.5, -0.25]))
+    with pytest.raises(ValueError):
+        r[0] = 1.0
+    assert fast.label_probs(np.array([0.5, -0.25])) is r
+
+
 def cos_sin_series(cfg):
     """Coefficients of the label series of FastDiscriminator, summed
     directly over the register outcomes, and an evaluator of the label

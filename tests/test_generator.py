@@ -137,6 +137,41 @@ def test_generate_amps_matches_circuit_on_a_batch():
             assert np.max(np.abs(amps[row] - ref)) <= 1e-12
 
 
+def test_generate_amps_rows_are_bitwise_single_calls():
+    # C order matters: training multiplies probes**2 @ r, and BLAS may round
+    # another layout differently.
+    rng = np.random.default_rng(72)
+    for n in range(1, 9):
+        for batch in (1, 3, 110):
+            thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (batch, num_params(n)))
+            amps = generate_amps(n, thetas)
+            assert amps.flags.c_contiguous and amps.dtype == np.float64
+            assert amps.shape == (batch, 2**n)
+            for row in range(0, batch, 37):
+                single = generate_amps(n, thetas[row : row + 1])
+                assert single.tobytes() == amps[row].tobytes()
+
+
+def test_generate_amps_leaves_earlier_results_and_inputs_alone():
+    rng = np.random.default_rng(73)
+    n = 6
+    thetas = rng.uniform(0.0, np.pi, (4, num_params(n)))
+    kept = thetas.copy()
+    first = generate_amps(n, thetas)
+    snapshot = first.copy()
+    generate_amps(n, rng.uniform(0.0, np.pi, (4, num_params(n))))
+    generate_amps(n, thetas[::-1])
+    assert first.tobytes() == snapshot.tobytes()
+    assert thetas.tobytes() == kept.tobytes()
+    # Any input layout gives the same bits.
+    assert generate_amps(n, np.asfortranarray(thetas)).tobytes() == first.tobytes()
+
+
+def test_generate_amps_takes_an_empty_batch():
+    for n in (1, 2, 5):
+        assert generate_amps(n, np.zeros((0, num_params(n)))).shape == (0, 2**n)
+
+
 def test_generate_amps_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         generate_amps(3, np.zeros(num_params(3)))

@@ -85,6 +85,15 @@ def test_signed_decode_convention():
     assert signed_decode(2, 2) == -4
 
 
+def test_qip_breaks_rounding_ties_at_the_lowest_outcome():
+    # The product -0.5 sits halfway between outcomes 3 and 0 (= 4 mod 4):
+    # both have probability 1/4 + sqrt(2)/8 = 0.4268 up to rounding.
+    est, dist = qip([0.5], WeightVector(np.array([-1.0])), 2, 1)
+    assert abs(dist[0] - dist[3]) <= 1e-12 and dist[0] != dist[3]
+    assert abs(dist[0] - (0.25 + np.sqrt(2.0) / 8.0)) <= 1e-12
+    assert est == 0
+
+
 def test_qip_signed_matches_dot_product_at_register_resolution():
     rng = np.random.default_rng(8)
     for _ in range(25):
