@@ -19,7 +19,7 @@ from .discriminator import (
     threshold_activation,
 )
 from .generator import GeneratorParams, generate_amps, num_params, param_kinds
-from .metrics import fidelity, kl_divergence, trace_distance_pure
+from .metrics import _trace_distance, fidelity, kl_divergence
 from .statevec import MAX_QUBITS, StateVector, check_int, check_real
 from .svi import DiscreteDistribution, target_state
 
@@ -428,7 +428,7 @@ def train(
         scores[epoch] = _exact_score(fast, wvec, t_amps, gen)
         fids[epoch] = fidelity(target_sv, gen_sv)
         kls[epoch] = kl_divergence(target, gen_sv)
-        tds[epoch] = trace_distance_pure(target_sv, gen_sv)
+        tds[epoch] = _trace_distance(fids[epoch])
         theta_rows[epoch] = thetas
         w_rows[epoch] = wvec
 

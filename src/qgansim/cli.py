@@ -31,7 +31,7 @@ from .qneuron import (
     sigmoid_activation,
 )
 from .statevec import MAX_QUBITS, basis_ket, diagonal
-from .svi import DEFAULT_SMILE_PARAMS, SviParams, density, discretize
+from .svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, SviParams, density, discretize
 
 # Every setting is checked and defaulted by its library type; the CLI only
 # reads the JSON, hands each section over, and names a rejected key as
@@ -75,11 +75,16 @@ def _qualified(exc: ValueError, name: str) -> str:
     return re.sub(rf"\b({keys}) = ", rf"{name}.\1 = ", str(exc))
 
 
-def _svi_params(raw: dict) -> SviParams:
+def _smile(raw: dict, n: int) -> tuple[SviParams, DiscreteDistribution]:
+    # The config's smile and its n-qubit target; smile errors exit with 1.
     try:
-        return replace(DEFAULT_SMILE_PARAMS, **raw.get("svi", {}))
+        params = replace(DEFAULT_SMILE_PARAMS, **raw.get("svi", {}))
     except ValueError as exc:
         raise click.ClickException(f"invalid SVI parameters: {_qualified(exc, 'svi')}")
+    try:
+        return params, discretize(params, n)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _activation(name: str, m1: int, m2: int):
@@ -163,12 +168,7 @@ def main() -> None:
 def target(config_path: str | None, out_dir: str) -> None:
     """Write the discretized target (JSON) and density curve (CSV)."""
     raw = _load_config(config_path)
-    n = _train_config(raw, None).n_qubits
-    params = _svi_params(raw)
-    try:
-        dist = discretize(params, n)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    params, dist = _smile(raw, _train_config(raw, None).n_qubits)
 
     out = Path(raw.get("out_dir", out_dir))
     out.mkdir(parents=True, exist_ok=True)
@@ -198,11 +198,7 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
     raw = _load_config(config_path)
     cfg = _train_config(raw, seed)
     disc = _discriminator(raw, cfg.n_qubits)
-    params = _svi_params(raw)
-    try:
-        dist = discretize(params, cfg.n_qubits)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    dist = _smile(raw, cfg.n_qubits)[1]
 
     trace = train(cfg, dist, disc)
 

@@ -39,5 +39,9 @@ def kl_divergence(target: DiscreteDistribution, generated: StateVector) -> float
 
 def trace_distance_pure(a: StateVector, b: StateVector) -> float:
     """Trace norm ||rho_a - rho_b||_1 = 2 sqrt(1 - |<a|b>|^2) for pure states."""
-    f = fidelity(a, b)
+    return _trace_distance(fidelity(a, b))
+
+
+def _trace_distance(f: float) -> float:
+    # Trace distance of two pure states from their fidelity f = |<a|b>|.
     return 2.0 * np.sqrt(max(1.0 - f * f, 0.0))

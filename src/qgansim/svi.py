@@ -3,9 +3,10 @@ log-price target distributions.
 
 Prices are spot-normalized (S0 = 1, zero rates), strikes live in
 log-moneyness k = log(K / S0). The density of log(S_T) implied by an SVI
-smile has the closed form g(k) / sqrt(2*pi*w) * exp(-d_minus^2 / 2); it is
-integrated over 2^n uniform bins of [-1, 1] and renormalized to produce a
-target distribution for the adversarial trainer.
+smile has the closed form g(k) / sqrt(2*pi*w) * exp(-d_minus^2 / 2), and its
+CDF is a closed-form digital price. Differences of the CDF at the edges of
+2^n uniform bins of [-1, 1], renormalized, give the target distribution for
+the adversarial trainer.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ class SviParams:
     def __post_init__(self):
         for f in fields(self):
             check_real(f.name, getattr(self, f.name))
-        for key in ("a", "b", "xi"):
+        for key in ("a", "b"):
             if getattr(self, key) < 0.0:
                 raise ValueError(f"{key} = {getattr(self, key)!r} is negative")
+        # At xi = 0 the smile has a kink at m, whose convexity is a point
+        # mass that no density expresses.
+        if self.xi <= 0.0:
+            raise ValueError(f"xi = {self.xi!r} is not positive")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho = {self.rho!r} is outside [-1, 1]")
         if self.T <= 0.0:
@@ -61,9 +66,10 @@ class DiscreteDistribution:
             raise ValueError(
                 f"expected {2**self.n_qubits} masses, got shape {arr.shape}"
             )
-        if np.any(arr < 0.0):
+        # Written so that NaN fails both checks.
+        if not np.all(arr >= 0.0):
             raise ValueError("masses must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
+        if not abs(float(arr.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"masses sum to {arr.sum()}, not 1")
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
@@ -72,25 +78,32 @@ class DiscreteDistribution:
         return np.linspace(-1.0, 1.0, 2**self.n_qubits + 1)
 
 
-def total_variance(params: SviParams, k: float) -> float:
-    """w(k) = a + b * (rho*(k - m) + sqrt((k - m)^2 + xi^2)); must be > 0."""
+def _variance(params: SviParams, k):
+    """(w, w', w'') at k, elementwise over a float or an array, where
+    w(k) = a + b * (rho*(k - m) + sqrt((k - m)^2 + xi^2)) is the total
+    variance. Raises naming the first k where w <= 0."""
+    k = np.asarray(k, dtype=np.float64)
     d = k - params.m
-    w = params.a + params.b * (params.rho * d + math.hypot(d, params.xi))
-    if w <= 0.0:
-        raise ValueError(f"total variance {w} is not positive at k = {k}")
-    return w
+    r = np.hypot(d, params.xi)
+    w = params.a + params.b * (params.rho * d + r)
+    if not np.all(w > 0.0):
+        i = np.argmin(w > 0.0)  # the first k that fails
+        raise ValueError(f"total variance {w.flat[i]} is not positive at k = {k.flat[i]}")
+    # r >= xi > 0. Within a subnormal distance of m, w'' overflows to inf:
+    # the density there is a spike too narrow for a double.
+    with np.errstate(over="ignore"):
+        wpp = params.b * (params.xi / r) ** 2 / r
+    return w, params.b * (params.rho + d / r), wpp
+
+
+def total_variance(params: SviParams, k: float) -> float:
+    """Total variance w(k) of the smile; raises unless it is positive."""
+    return float(_variance(params, k)[0])
 
 
 def svi_derivatives(params: SviParams, k: float):
     """(w, w', w'') of the total variance at k, in closed form."""
-    d = k - params.m
-    r = math.hypot(d, params.xi)
-    w = params.a + params.b * (params.rho * d + r)
-    if r == 0.0:
-        raise ValueError("derivatives undefined at k = m when xi = 0")
-    wp = params.b * (params.rho + d / r)
-    wpp = params.b * params.xi**2 / r**3
-    return w, wp, wpp
+    return tuple(float(v) for v in _variance(params, k))
 
 
 def _norm_cdf(x: float) -> float:
@@ -154,25 +167,20 @@ _ARBITRAGE_GRID = np.linspace(-1.0, 1.0, 4001)
 
 
 def check_butterfly(params: SviParams) -> None:
-    """Raise if g(k) < 0 somewhere on a fine grid of [-1, 1].
+    """Raise if w(k) <= 0 or g(k) < 0 somewhere on a fine grid of [-1, 1].
 
-    A negative g is butterfly arbitrage: the implied density is negative
-    there (Gatheral & Jacquier, arXiv:1204.0646). The error names the
-    first failing k.
+    As a, b >= 0 and xi > 0, w >= a + b*xi*sqrt(1 - rho^2) > 0 everywhere
+    unless a = b = 0, which the grid sees. A negative g is butterfly
+    arbitrage: the implied density is negative there (Gatheral & Jacquier,
+    arXiv:1204.0646). So is a g that is no number: an infinite term less
+    another, where w is too small for a double. The error names the k.
     """
     k = _ARBITRAGE_GRID
-    d = k - params.m
-    r = np.hypot(d, params.xi)
-    w = params.a + params.b * (params.rho * d + r)
-    # r = 0 (xi = 0 at k = m) or w = 0 give NaN, which density() rejects.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = _butterfly_g(k, w, params.b * (params.rho + d / r), params.b * params.xi**2 / r**3)
-    bad = np.flatnonzero(g < 0.0)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} < 0 at k = {k[i]:.4f}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _butterfly_g(k, *_variance(params, k))
+    if not np.all(g >= 0.0):
+        i = np.argmin(g >= 0.0)
+        raise ValueError(f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} at k = {k[i]:.4f}")
 
 
 def density(params: SviParams, k: float) -> float:
@@ -181,63 +189,54 @@ def density(params: SviParams, k: float) -> float:
     f(k) = g(k) / sqrt(2*pi*w) * exp(-d_minus^2 / 2) with
     g = (1 - k*w'/(2w))^2 - (w'^2/4)(1/4 + 1/w) + w''/2.
     """
-    w, wp, wpp = svi_derivatives(params, k)
-    if w <= 0.0:
-        raise ValueError(f"total variance {w} is not positive at k = {k}")
-    g = _butterfly_g(k, w, wp, wpp)
-    d_minus = -k / math.sqrt(w) - math.sqrt(w) / 2.0
-    return g / math.sqrt(2.0 * math.pi * w) * math.exp(-(d_minus**2) / 2.0)
+    w, wp, wpp = _variance(params, k)
+    d_minus = -k / np.sqrt(w) - np.sqrt(w) / 2.0
+    return _butterfly_g(k, w, wp, wpp) / np.sqrt(2.0 * np.pi * w) * np.exp(-(d_minus**2) / 2.0)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature to absolute tolerance `tol`."""
+def _cdf(params: SviParams, k):
+    """(F, 1 - F) at an array of k, where F(k) = P(log S_T <= k).
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, eps / 2.0, depth - 1
-        )
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+    The density is the second strike derivative of the call price
+    (Breeden & Litzenberger), so F is a digital price in closed form:
+    F = N(-d_minus) + n(d_minus) w' / (2 sqrt(w)). Both tails come from
+    erfc, so each keeps full relative precision.
+    """
+    w, wp, _ = _variance(params, k)
+    d_minus = -k / np.sqrt(w) - np.sqrt(w) / 2.0
+    x = np.abs(d_minus) / math.sqrt(2.0)
+    # N(-|d_minus|), per k since numpy has no erfc. Past x = 40 exp(-x^2)
+    # has long underflowed to 0; the clip keeps x^2 finite.
+    near = np.fromiter(map(math.erfc, x.tolist()), np.float64, x.size) / 2.0
+    skew = np.exp(-np.minimum(x, 40.0) ** 2) / math.sqrt(2.0 * math.pi) * wp / (2.0 * np.sqrt(w))
+    left = d_minus >= 0.0
+    return np.where(left, near, 1.0 - near) + skew, np.where(left, 1.0 - near, near) - skew
 
 
 def discretize(params: SviParams, n_qubits: int) -> DiscreteDistribution:
     """Bin masses of the log-price density over 2^n uniform bins of [-1, 1].
 
     The smile must be free of butterfly arbitrage on [-1, 1]
-    (`check_butterfly`). Each bin is integrated to absolute tolerance 1e-10
-    and the vector is renormalized; the mass lost to truncation outside
-    [-1, 1] is reported on the result.
+    (`check_butterfly`). Each mass is a difference of the closed-form CDF
+    F at the 2^n + 1 bin edges below the median and of 1 - F above it, so
+    no tail mass is a difference of two numbers near 1. The masses are
+    renormalized; the mass outside, F(-1) + 1 - F(1), is `truncated_mass`.
     """
     check_int("n_qubits", n_qubits, 1, MAX_QUBITS)
     check_butterfly(params)
     edges = np.linspace(-1.0, 1.0, 2**n_qubits + 1)
-    f = lambda k: density(params, k)
-    raw = np.array(
-        [adaptive_simpson(f, edges[i], edges[i + 1], 1e-10) for i in range(2**n_qubits)]
-    )
-    if np.any(raw < 0.0):
-        raise ValueError("density produced negative bin mass")
+    cdf, upper = _cdf(params, edges)
+    raw = np.where(cdf[1:] <= 0.5, np.diff(cdf), -np.diff(upper))
+    if not np.all(raw >= 0.0):
+        i = np.argmin(raw >= 0.0)
+        raise ValueError(f"negative bin mass {raw[i]:.3g} at k = {edges[i]:.4f}")
     covered = float(raw.sum())
     if covered <= 0.0:
         raise ValueError("no probability mass inside [-1, 1]")
     return DiscreteDistribution(
         n_qubits=n_qubits,
         masses=raw / covered,
-        truncated_mass=max(1.0 - covered, 0.0),
+        truncated_mass=max(float(cdf[0] + upper[-1]), 0.0),
     )
 
 

@@ -233,7 +233,7 @@ def test_criterion_09_trace_distance_eigenvalue_oracle():
 
 def test_criterion_10_svi_pipeline():
     """b = 0 collapses to the lognormal density (1e-10); implied vol
-    round-trips (1e-8); bin masses add under refinement (1e-9); the
+    round-trips (1e-8); bin masses add under refinement (1e-14); the
     default smile yields a normalized unimodal 16-bin target."""
     import math
 
@@ -254,7 +254,7 @@ def test_criterion_10_svi_pipeline():
         coarse = discretize(DEFAULT_SMILE_PARAMS, n)
         fine = discretize(DEFAULT_SMILE_PARAMS, n + 1)
         merged = fine.masses.reshape(-1, 2).sum(axis=1)
-        assert np.max(np.abs(merged - coarse.masses)) < 1e-9
+        assert np.max(np.abs(merged - coarse.masses)) < 1e-14
 
     target = discretize(DEFAULT_SMILE_PARAMS, 4)
     assert abs(float(target.masses.sum()) - 1.0) < 1e-12

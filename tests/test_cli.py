@@ -414,6 +414,9 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("target", '{"svi": {"a": "x"}}', "svi.a", 1),
         ("target", '{"svi": {"a": null}}', "svi.a", 1),
         ("target", '{"svi": {"T": true}}', "svi.T", 1),
+        ("target", '{"svi": {"xi": 0}}', "svi.xi = 0 is not positive", 1),
+        ("train", '{"n_qubits": 2, "svi": {"xi": -0.0}}', "svi.xi = -0.0 is not positive", 1),
+        ("target", '{"svi": {"a": 0, "b": 0}}', "total variance 0.0 is not positive at k = -1.0", 1),
         ("target", '{"n_qubits": "x"}', "n_qubits", 2),
         ("target", '{"n_qubits": 2.7}', "n_qubits", 2),
         ("target", '{"n_qubits": 21}', "n_qubits", 2),

@@ -2,10 +2,11 @@
 its discretization onto qubit registers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,7 +14,7 @@ from qgansim.svi import (
     DEFAULT_SMILE_PARAMS,
     DiscreteDistribution,
     SviParams,
-    adaptive_simpson,
+    _cdf,
     bs_price,
     check_butterfly,
     density,
@@ -34,6 +35,21 @@ def test_svi_params_validation():
         SviParams(a=0.1, b=0.1, rho=0.0, m=0.0, xi=0.1, T=0.0)
     with pytest.raises(ValueError):
         SviParams(a=np.inf, b=0.1, rho=0.0, m=0.0, xi=0.1)
+
+
+@pytest.mark.parametrize("xi", [0.0, -0.0, -0.1])
+def test_svi_params_refuse_a_kinked_smile_naming_xi(xi):
+    # xi = 0 puts a kink at m whose convexity is a point mass no density
+    # expresses.
+    with pytest.raises(ValueError, match="^xi = .* is not positive"):
+        SviParams(a=0.04, b=0.1, rho=0.0, m=0.0, xi=xi)
+
+
+def test_discretize_refuses_zero_total_variance_naming_k():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"total variance 0\.0 is not positive at k = -1\.0"):
+            discretize(SviParams(a=0.0, b=0.0, rho=0.0, m=0.2, xi=0.1), 3)
 
 
 def test_total_variance_closed_form():
@@ -110,20 +126,19 @@ def test_density_reduces_to_lognormal_when_b_zero():
         assert abs(density(p, k) - ref) < 1e-10
 
 
-def test_density_integrates_to_one():
-    mass = adaptive_simpson(
-        lambda k: density(DEFAULT_SMILE_PARAMS, k), -3.0, 3.0, 1e-10
-    )
-    assert abs(mass - 1.0) < 1e-6
+def test_cdf_runs_from_zero_to_one():
+    cdf, upper = _cdf(DEFAULT_SMILE_PARAMS, np.array([-8.0, 8.0]))
+    assert 0.0 <= cdf[0] < 1e-15 and 0.0 <= upper[1] < 1e-15
+    assert abs(cdf[1] - 1.0) < 1e-15 and abs(upper[0] - 1.0) < 1e-15
 
 
-def test_adaptive_simpson_known_integrals():
-    assert abs(adaptive_simpson(math.sin, 0.0, math.pi, 1e-12) - 2.0) < 1e-10
-    assert abs(adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12) - 1.0 / 3.0) < 1e-12
-    assert (
-        abs(adaptive_simpson(lambda x: math.exp(-x * x), -5.0, 5.0, 1e-12) - math.sqrt(math.pi))
-        < 1e-9
-    )
+def test_cdf_slope_is_the_density():
+    h = 1e-5
+    ks = np.linspace(-0.95, 0.95, 39)
+    cdf, upper = _cdf(DEFAULT_SMILE_PARAMS, np.concatenate([ks - h, ks + h]))
+    assert_allclose(cdf + upper, 1.0, atol=1e-15)
+    slope = (cdf[ks.size :] - cdf[: ks.size]) / (2.0 * h)
+    assert_allclose(slope, [density(DEFAULT_SMILE_PARAMS, k) for k in ks], atol=1e-8)
 
 
 def test_discrete_distribution_validation():
@@ -133,6 +148,14 @@ def test_discrete_distribution_validation():
         DiscreteDistribution(1, np.array([1.2, -0.2]))
     with pytest.raises(ValueError):
         DiscreteDistribution(2, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "masses", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]]
+)
+def test_discrete_distribution_refuses_non_finite_masses(masses):
+    with pytest.raises(ValueError):
+        DiscreteDistribution(1, np.array(masses))
 
 
 def test_bin_edges_cover_the_interval():
@@ -145,7 +168,28 @@ def test_discretize_is_additive_under_refinement():
         coarse = discretize(DEFAULT_SMILE_PARAMS, n)
         fine = discretize(DEFAULT_SMILE_PARAMS, n + 1)
         merged = fine.masses.reshape(-1, 2).sum(axis=1)
-        assert np.max(np.abs(merged - coarse.masses)) < 1e-9
+        assert np.max(np.abs(merged - coarse.masses)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_bin_masses_match_gauss_legendre(n):
+    # 40 nodes per bin integrate the smooth density to rounding.
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(-1.0, 1.0, 2**n + 1)
+    half = (edges[1] - edges[0]) / 2.0
+    ks = (edges[:-1] + half)[:, None] + half * nodes
+    raw = half * np.array([[density(DEFAULT_SMILE_PARAMS, k) for k in row] for row in ks]) @ weights
+    dist = discretize(DEFAULT_SMILE_PARAMS, n)
+    assert np.max(np.abs(dist.masses - raw / raw.sum())) < 1e-14
+    assert abs(dist.truncated_mass - (1.0 - raw.sum())) < 1e-14
+    # Tail masses keep their relative precision: none is a difference of
+    # two numbers near 1.
+    assert np.max(np.abs(dist.masses / (raw / raw.sum()) - 1.0)) < 1e-12
+
+
+def test_truncated_mass_does_not_depend_on_the_register():
+    masses = [discretize(DEFAULT_SMILE_PARAMS, n).truncated_mass for n in range(1, 13)]
+    assert max(masses) - min(masses) <= 1e-15
 
 
 def test_discretize_four_bins_frozen():
@@ -209,3 +253,32 @@ def test_implied_vol_round_trip_property(sigma, k):
 def test_discretize_rejects_bad_register_widths_up_front(n):
     with pytest.raises(ValueError, match="^n_qubits = "):
         discretize(DEFAULT_SMILE_PARAMS, n)
+
+
+_SCALE = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0))
+
+
+@given(
+    a=_SCALE,
+    b=_SCALE,
+    rho=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0)),
+    m=st.floats(min_value=-2.0, max_value=2.0),
+    xi=st.floats(min_value=0.0, max_value=4.0),
+    T=st.floats(min_value=0.01, max_value=10.0),
+    n=st.integers(min_value=1, max_value=8),
+)
+@example(a=0.04, b=0.1, rho=0.0, m=0.0, xi=0.0, T=1.0, n=4)
+@example(a=0.0, b=0.0, rho=0.0, m=0.0, xi=0.1, T=1.0, n=4)
+@example(a=0.0, b=0.1, rho=1.0, m=0.0, xi=0.1, T=1.0, n=4)
+@example(a=0.04, b=0.1, rho=-1.0, m=0.0, xi=0.1, T=1.0, n=4)
+@settings(max_examples=300, deadline=None)
+def test_every_smile_gives_finite_masses_or_a_value_error(a, b, rho, m, xi, T, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dist = discretize(SviParams(a=a, b=b, rho=rho, m=m, xi=xi, T=T), n)
+        except ValueError:
+            return
+    assert np.all(np.isfinite(dist.masses))
+    assert abs(float(dist.masses.sum()) - 1.0) <= 1e-12
+    assert 0.0 <= dist.truncated_mass < 1.0
