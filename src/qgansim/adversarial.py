@@ -277,7 +277,7 @@ def grad_w(
     w: DiscriminatorWeights,
     target: StateVector,
     cfg: DiscriminatorConfig,
-    fd_step: float = 0.5,
+    fd_step: float = TrainConfig.fd_step,
 ) -> np.ndarray:
     """[S(w + s e_j) - S(w - s e_j)] / (2 s), s = fd_step, as train() ascends.
 

@@ -38,7 +38,7 @@ from .svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, SviParams, density,
 # section.key.
 _SECTIONS = {"svi": SviParams, "discriminator": DiscriminatorConfig}
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_TOP_KEYS = _TRAIN_KEYS | set(_SECTIONS) | {"out_dir"}
+_TOP_KEYS = _TRAIN_KEYS | set(_SECTIONS)
 
 _PROB_FLOOR = 1e-12  # demo output omits outcomes below this
 
@@ -58,8 +58,6 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(section, dict):
             raise click.UsageError(f"config.{name} must be a JSON object, got {section!r}")
         _reject_unknown(section, {f.name for f in fields(kind)}, f"config.{name}")
-    if not isinstance(raw.get("out_dir", ""), str):
-        raise click.UsageError(f"out_dir = {raw['out_dir']!r} is not a string")
     return raw
 
 
@@ -170,7 +168,7 @@ def target(config_path: str | None, out_dir: str) -> None:
     raw = _load_config(config_path)
     params, dist = _smile(raw, _train_config(raw, None).n_qubits)
 
-    out = Path(raw.get("out_dir", out_dir))
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(
         out / "target.json",
@@ -202,7 +200,7 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
 
     trace = train(cfg, dist, disc)
 
-    out = Path(raw.get("out_dir", out_dir))
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["epoch,score,fidelity,kl,trace_distance"]
     for epoch in range(trace.num_epochs):

@@ -20,7 +20,7 @@ from .statevec import (
     CircuitOp,
     QuantumCircuit,
     StateVector,
-    crz,
+    diagonal,
     hadamard,
     swap,
 )
@@ -64,7 +64,7 @@ def qft_circuit(num_qubits: int, *, _sign: float = 1.0) -> QuantumCircuit:
         ops.append(CircuitOp(hadamard(), (q,)))
         for t in range(q + 1, num_qubits):
             # Phase 2*pi/2^(t-q+1), times _sign, on |1>|1> of (control t, target q).
-            ops.append(CircuitOp(crz(_sign * 2.0 ** -(t - q + 1)), (q, t)))
+            ops.append(CircuitOp(diagonal([0.0, _sign * 2.0 ** -(t - q + 1)]), (q,), (t,)))
     for q in range(num_qubits // 2):
         ops.append(CircuitOp(swap(), (q, num_qubits - 1 - q)))
     return QuantumCircuit(num_qubits, tuple(ops))

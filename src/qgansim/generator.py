@@ -21,7 +21,6 @@ from .statevec import (
     QuantumCircuit,
     StateVector,
     basis_ket,
-    cry,
     pauli_x,
     ry,
     run_circuit,
@@ -45,14 +44,6 @@ class GeneratorParams:
         object.__setattr__(self, "thetas", arr)
 
 
-@dataclass(frozen=True)
-class ConditionalAngles:
-    """Per-prefix angles; key () is the root, key (b1, ..., bk) a prefix."""
-
-    n_qubits: int
-    angles: dict
-
-
 def num_params(n: int) -> int:
     """Parameter count of the ansatz: 1 for n = 1, else 3n - 3."""
     if n < 1:
@@ -71,11 +62,12 @@ def param_kinds(n: int) -> tuple:
     return tuple(kinds)
 
 
-def exact_angles(target: DiscreteDistribution) -> ConditionalAngles:
-    """Conditional-Bernoulli angles loading the target exactly.
+def exact_angles(target: DiscreteDistribution) -> dict:
+    """Conditional-Bernoulli angles loading the target exactly, by prefix.
 
-    q = P[bit k = 0 | prefix] and cos(theta/2) = sqrt(q). Prefixes with
-    zero mass are unobservable and get q = 1 (angle 0).
+    Key () is the root and key (b1, ..., bk) a prefix; the 2^n - 1 keys
+    fix n. q = P[bit k = 0 | prefix] and cos(theta/2) = sqrt(q). Prefixes
+    with zero mass are unobservable and get q = 1 (angle 0).
     """
     n = target.n_qubits
     masses = target.masses
@@ -92,22 +84,22 @@ def exact_angles(target: DiscreteDistribution) -> ConditionalAngles:
             q = min(max(q, 0.0), 1.0)
             prefix_bits = tuple((prefix_index >> (k - 1 - i)) & 1 for i in range(k))
             angles[prefix_bits] = 2.0 * np.arccos(np.sqrt(q))
-    return ConditionalAngles(n, angles)
+    return angles
 
 
-def build_exact_circuit(angles: ConditionalAngles) -> QuantumCircuit:
+def build_exact_circuit(angles: dict) -> QuantumCircuit:
     """Multi-controlled RY chain realizing the conditional construction.
 
     The rotation for prefix b acts on qubit len(b) controlled on the
     prefix pattern; zero bits of the pattern are handled by X dressing
     around the controls.
     """
-    n = angles.n_qubits
+    n = len(angles).bit_length()
     ops = []
     for k in range(n):
         for prefix_index in range(2**k):
             prefix_bits = tuple((prefix_index >> (k - 1 - i)) & 1 for i in range(k))
-            theta = angles.angles[prefix_bits]
+            theta = angles[prefix_bits]
             zero_positions = tuple(i for i, b in enumerate(prefix_bits) if b == 0)
             for q in zero_positions:
                 ops.append(CircuitOp(pauli_x(), (q,)))
@@ -133,9 +125,9 @@ def build_parametric_circuit(n: int, params: GeneratorParams) -> QuantumCircuit:
     idx = 1
     for k in range(2, n + 1):
         control, target = k - 2, k - 1
-        ops.append(CircuitOp(cry(thetas[idx]), (control, target)))
+        ops.append(CircuitOp(ry(thetas[idx]), (target,), (control,)))
         ops.append(CircuitOp(pauli_x(), (control,)))
-        ops.append(CircuitOp(cry(thetas[idx + 1]), (control, target)))
+        ops.append(CircuitOp(ry(thetas[idx + 1]), (target,), (control,)))
         ops.append(CircuitOp(pauli_x(), (control,)))
         idx += 2
     for j in range(n - 2):
@@ -218,5 +210,5 @@ def exact_params_2q(target: DiscreteDistribution) -> GeneratorParams:
     """
     if target.n_qubits != 2:
         raise ValueError("only defined for 2-qubit targets")
-    angles = exact_angles(target).angles
+    angles = exact_angles(target)
     return GeneratorParams(np.array([angles[()], angles[(1,)], angles[(0,)]]))

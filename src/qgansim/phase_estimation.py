@@ -11,7 +11,6 @@ runs each of them and reads its register.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,24 +42,6 @@ def size_ancillas(accuracy_bits: int, failure_prob: float) -> int:
     if not 0.0 < failure_prob < 1.0:
         raise ValueError(f"failure_prob = {failure_prob!r} is not in (0, 1)")
     return accuracy_bits + math.ceil(math.log2(2.0 + 1.0 / (2.0 * failure_prob)))
-
-
-@dataclass(frozen=True)
-class QpeConfig:
-    """Ancilla budget, target accuracy in bits, and failure probability."""
-
-    ancillas: int
-    accuracy_bits: int
-    failure_prob: float
-
-    def __post_init__(self):
-        check_int("ancillas", self.ancillas, 1)
-        size_ancillas(self.accuracy_bits, self.failure_prob)  # checks both
-
-    @classmethod
-    def from_accuracy(cls, accuracy_bits: int, failure_prob: float) -> "QpeConfig":
-        m = size_ancillas(accuracy_bits, failure_prob)
-        return cls(ancillas=m, accuracy_bits=accuracy_bits, failure_prob=failure_prob)
 
 
 def estimation_circuit(width: int, first: int, m: int, kernel_ops) -> QuantumCircuit:
@@ -130,13 +111,13 @@ def qpe_distribution(
 
 
 def estimate_phase(
-    unitary: UnitaryGate,
-    eigenstate: StateVector,
-    config: QpeConfig,
-    rng_seed: int,
+    unitary: UnitaryGate, eigenstate: StateVector, ancillas: int, rng_seed: int
 ) -> float:
-    """Sample one outcome k from the QPE distribution; returns k / 2^m."""
-    dist = qpe_distribution(unitary, eigenstate, config.ancillas)
+    """Sample one outcome k from the m-ancilla QPE distribution; returns k / 2^m.
+
+    size_ancillas gives the m that meets an accuracy and failure budget.
+    """
+    dist = qpe_distribution(unitary, eigenstate, ancillas)
     rng = np.random.default_rng(rng_seed)
     outcome = int(rng.choice(dist.size, p=dist / dist.sum()))
-    return outcome / 2**config.ancillas
+    return outcome / 2**ancillas

@@ -26,7 +26,6 @@ from .statevec import (
     StateVector,
     basis_ket,
     check_int,
-    crz,
     diagonal,
     shift_circuit,
 )
@@ -52,7 +51,12 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class ActivationFn:
-    """Named real function mapping register values into [0, 1)."""
+    """Named real function mapping register values into [0, 1).
+
+    `fn` is called once with a numpy array of all register values and
+    returns their activations, as an array of that shape or a scalar. Its
+    outputs are validated at circuit build (see activation_table).
+    """
 
     name: str
     fn: object
@@ -71,15 +75,6 @@ def scaled_identity_activation(input_qubits: int) -> ActivationFn:
     """t / 2^q, the identity scaled into [0, 1) on {0, ..., 2^q - 1}."""
     scale = 2.0**input_qubits
     return ActivationFn("identity", lambda t: t / scale)
-
-
-def custom_activation(fn) -> ActivationFn:
-    """Wrap a callable; outputs are validated at circuit build.
-
-    `fn` is called once with a numpy array of all register values and
-    returns their activations, as an array of that shape or a scalar.
-    """
-    return ActivationFn("custom", fn)
 
 
 def activation_table(fn: ActivationFn, inputs: np.ndarray) -> np.ndarray:
@@ -119,8 +114,9 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
     """Controlled-phase block tagging ancilla value j with e^(2*i*pi*j*t/2^m).
 
     For each ancilla l (1-based from the most significant), data component
-    j, and digit k, one crz(w_j / 2^(l+k)) couples the pair: the phase
-    w_j / 2^(m+k) raised to the ancilla's bit weight 2^(m-l).
+    j, and digit k, the ancilla controls the phase w_j / 2^(l+k) on the
+    digit's qubit: the phase w_j / 2^(m+k) raised to the ancilla's bit
+    weight 2^(m-l).
     """
     check_int("ancillas", ancillas, 1)
     check_int("precision", precision, 1)
@@ -137,7 +133,8 @@ def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit
         for j in range(n):
             for k in range(1, precision + 1):
                 data_qubit = m + j * precision + (k - 1)
-                ops.append(CircuitOp(crz(w.w[j] / 2 ** (l + k)), (l - 1, data_qubit)))
+                phase = diagonal([0.0, w.w[j] / 2 ** (l + k)])
+                ops.append(CircuitOp(phase, (data_qubit,), (l - 1,)))
     return QuantumCircuit(width, tuple(ops))
 
 
@@ -189,19 +186,13 @@ def qip_signed(x, w: WeightVector, ancillas: int, precision: int) -> float:
     return float(signed_decode(estimate, ancillas))
 
 
-def build_activation(fn: ActivationFn, input_qubits: int, ancillas: int) -> QuantumCircuit:
-    """Phase-estimation circuit writing the m1-bit fraction of fn(x).
-
-    The unitary under estimation is Diag(e^(2*i*pi*fn(x))) over the input
-    register, whose eigenphase on basis input |x> is exactly fn(x).
-    """
-    if input_qubits < 1 or ancillas < 1:
-        raise ValueError("register widths must be at least 1")
-    return activation_stage(activation_table(fn, np.arange(2**input_qubits)), ancillas)
-
-
 def activation_stage(sigma: np.ndarray, ancillas: int) -> QuantumCircuit:
-    """build_activation from the table sigma[x] of activation values in [0, 1)."""
+    """Phase-estimation circuit writing the m1-bit fraction of sigma[x].
+
+    The unitary under estimation is Diag(e^(2*i*pi*sigma)) over the input
+    register, whose eigenphase on basis input |x> is exactly sigma[x], the
+    activation in [0, 1) of register value x (see activation_table).
+    """
     m1 = ancillas
     width = m1 + sigma.size.bit_length() - 1  # sigma holds 2^q values
     # Ancilla s controls the 2^(m1-1-s) power, a diagonal with the phases

@@ -333,21 +333,6 @@ def ry(theta: float) -> UnitaryGate:
     return UnitaryGate(1, mat)
 
 
-def cry(theta: float) -> UnitaryGate:
-    """Two-qubit controlled RY; first qubit is the control."""
-    if not np.isfinite(theta):
-        raise ValueError("angle must be finite")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    mat = np.eye(4, dtype=np.complex128)
-    mat[2:, 2:] = [[c, -s], [s, c]]
-    return UnitaryGate(2, mat)
-
-
-def crz(alpha: float) -> UnitaryGate:
-    """Two-qubit controlled phase diag(1, 1, 1, e^(2*i*pi*alpha))."""
-    return diagonal([0.0, 0.0, 0.0, alpha])
-
-
 def swap() -> UnitaryGate:
     """Two-qubit SWAP."""
     return UnitaryGate(2, perm=(0, 2, 1, 3))

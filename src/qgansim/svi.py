@@ -167,20 +167,27 @@ _ARBITRAGE_GRID = np.linspace(-1.0, 1.0, 4001)
 
 
 def check_butterfly(params: SviParams) -> None:
-    """Raise if w(k) <= 0 or g(k) < 0 somewhere on a fine grid of [-1, 1].
+    """Raise if w(k) <= 0 or g(k) < 0 on a fine grid of [-1, 1] or near m.
 
     As a, b >= 0 and xi > 0, w >= a + b*xi*sqrt(1 - rho^2) > 0 everywhere
     unless a = b = 0, which the grid sees. A negative g is butterfly
     arbitrage: the implied density is negative there (Gatheral & Jacquier,
     arXiv:1204.0646). So is a g that is no number: an infinite term less
-    another, where w is too small for a double. The error names the k.
+    another, where w is too small for a double. Besides the grid, g is
+    sampled at m + xi*t for the fixed offsets t, clipped to [-1, 1], so
+    arbitrage narrower than the grid's spacing is seen too. The error
+    names the first such k, on the grid if any.
     """
-    k = _ARBITRAGE_GRID
+    # The smile's one feature narrower than the grid has width xi around m.
+    # The offsets t are spaced 0.1 at m and reach |t| = 1490.
+    t = np.sinh(np.linspace(-8.0, 8.0, 161))
+    near = np.clip(params.m + params.xi * t, -1.0, 1.0)
+    k = np.concatenate([_ARBITRAGE_GRID, near])
     with np.errstate(over="ignore", invalid="ignore"):
         g = _butterfly_g(k, *_variance(params, k))
     if not np.all(g >= 0.0):
         i = np.argmin(g >= 0.0)
-        raise ValueError(f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} at k = {k[i]:.4f}")
+        raise ValueError(f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} at k = {k[i]:#.4g}")
 
 
 def density(params: SviParams, k: float) -> float:

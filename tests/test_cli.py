@@ -411,6 +411,9 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("train", '{"svi": null}', "config.svi", 2),
         ("train", '{"discriminator": 5}', "config.discriminator", 2),
         ("train", '{"out_dir": 5}', "out_dir", 2),
+        # --out-dir is the one way to set the output directory.
+        ("train", '{"out_dir": "from_config"}', "unknown config keys: out_dir", 2),
+        ("target", '{"out_dir": "from_config"}', "unknown config keys: out_dir", 2),
         ("target", '{"svi": {"a": "x"}}', "svi.a", 1),
         ("target", '{"svi": {"a": null}}', "svi.a", 1),
         ("target", '{"svi": {"T": true}}', "svi.T", 1),

@@ -19,7 +19,7 @@ from qgansim.discriminator import (
     threshold_activation,
 )
 from qgansim.fourier import qft_matrix
-from qgansim.qneuron import custom_activation, signed_decode, sigmoid_activation
+from qgansim.qneuron import ActivationFn, signed_decode, sigmoid_activation
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 
 
@@ -210,7 +210,7 @@ def _activations(m1, m2):
     return (
         sigmoid_activation(),
         threshold_activation(m1, 2.0**m2),
-        custom_activation(lambda t: (t + 2.0**m2) / 2.0 ** (m2 + 1)),
+        ActivationFn("custom", lambda t: (t + 2.0**m2) / 2.0 ** (m2 + 1)),
     )
 
 

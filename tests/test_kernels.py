@@ -101,7 +101,7 @@ def test_cases_cover_unordered_targets_and_controls():
 
 
 def test_diag_leaves_unit_entries_untouched():
-    # crz's diagonal is (1, 1, 1, e^(i phi)): only the |11> quarter changes,
+    # A phase on |11> is the diagonal (1, 1, 1, e^(i phi)): only the |11> quarter changes,
     # and the other three quarters keep their exact bits.
     amps = np.arange(1, 17, dtype=np.complex128)
     before = amps.copy()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qgansim.phase_estimation import (
-    QpeConfig,
     estimate_phase,
     qpe_circuit,
     qpe_distribution,
@@ -80,11 +79,12 @@ def test_size_ancillas_formula():
         size_ancillas(2, 0.0)
 
 
-def test_config_from_accuracy():
-    cfg = QpeConfig.from_accuracy(3, 0.1)
-    assert cfg.ancillas == 6
-    with pytest.raises(ValueError):
-        QpeConfig(0, 1, 0.1)
+def test_estimate_phase_on_a_register_sized_from_accuracy():
+    m = size_ancillas(3, 0.1)
+    est = estimate_phase(phase_unitary(0.37), basis_ket(1, 1), m, rng_seed=4)
+    assert m == 6 and est * 2**m == int(est * 2**m)
+    with pytest.raises(ValueError, match="^ancillas = "):
+        estimate_phase(phase_unitary(0.37), basis_ket(1, 1), 0, rng_seed=4)
 
 
 def test_multi_qubit_eigenstate():
@@ -113,17 +113,16 @@ def test_circuit_width():
 
 
 def test_estimate_phase_is_seed_deterministic():
-    cfg = QpeConfig.from_accuracy(2, 0.2)
+    m = size_ancillas(2, 0.2)
     u = phase_unitary(0.37)
-    first = estimate_phase(u, basis_ket(1, 1), cfg, rng_seed=9)
-    second = estimate_phase(u, basis_ket(1, 1), cfg, rng_seed=9)
+    first = estimate_phase(u, basis_ket(1, 1), m, rng_seed=9)
+    second = estimate_phase(u, basis_ket(1, 1), m, rng_seed=9)
     assert first == second
     assert abs(first - 0.37) < 0.25  # coarse sanity on the sampled value
 
 
 def test_estimate_lives_on_the_register_grid():
-    cfg = QpeConfig(ancillas=4, accuracy_bits=2, failure_prob=0.2)
-    est = estimate_phase(phase_unitary(0.61), basis_ket(1, 1), cfg, rng_seed=1)
+    est = estimate_phase(phase_unitary(0.61), basis_ket(1, 1), 4, rng_seed=1)
     assert est in {k / 16 for k in range(16)}
 
 
@@ -158,9 +157,12 @@ def test_wide_registers_match_the_closed_form(m):
     ],
 )
 def test_config_rejects_bad_settings_naming_the_key(kwargs, key):
+    # estimate_phase takes the register width; size_ancillas takes the
+    # accuracy and failure budget that size it.
     settings = {"ancillas": 4, "accuracy_bits": 2, "failure_prob": 0.1, **kwargs}
     with pytest.raises(ValueError, match=f"^{key} = "):
-        QpeConfig(**settings)
+        estimate_phase(phase_unitary(0.5), basis_ket(1, 1), settings["ancillas"], rng_seed=0)
+        size_ancillas(settings["accuracy_bits"], settings["failure_prob"])
 
 
 @pytest.mark.parametrize("ancillas", [0, MAX_QUBITS, 10**9, 2.0, True])

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 from qgansim.qneuron import (
     ActivationFn,
     WeightVector,
-    build_activation,
+    activation_stage,
+    activation_table,
     build_u_wm,
-    custom_activation,
     encode_input,
     neuron_forward,
     qip,
@@ -147,14 +147,14 @@ def test_u_wm_validation():
 def test_activation_fn_names():
     assert sigmoid_activation().name == "sigmoid"
     assert scaled_identity_activation(3).name == "identity"
-    assert custom_activation(lambda t: 0.25).name == "custom"
+    assert ActivationFn("custom", lambda t: 0.25).name == "custom"
     with pytest.raises(ValueError):
         ActivationFn("relu", lambda t: t)
 
 
 def test_build_activation_writes_representable_values_exactly():
     fn = scaled_identity_activation(2)  # sigma(x) = x / 4, register exact
-    circ = build_activation(fn, 2, 2)
+    circ = activation_stage(activation_table(fn, np.arange(4)), 2)
     from qgansim.phase_estimation import register_readout
     from qgansim.statevec import basis_ket
 
@@ -164,10 +164,10 @@ def test_build_activation_writes_representable_values_exactly():
 
 
 def test_build_activation_rejects_out_of_range_values():
-    with pytest.raises(ValueError):
-        build_activation(custom_activation(lambda t: 1.0), 1, 1)
-    with pytest.raises(ValueError):
-        build_activation(custom_activation(lambda t: -0.25), 1, 1)
+    for value in (1.0, -0.25):
+        fn = ActivationFn("custom", lambda t: value)
+        with pytest.raises(ValueError):
+            activation_stage(activation_table(fn, np.arange(2)), 1)
 
 
 def test_neuron_forward_identity_concentrates_on_scaled_product():
@@ -205,5 +205,6 @@ def test_signed_decode_takes_arrays_and_scalars_alike():
 
 
 def test_build_activation_broadcasts_a_scalar_activation():
-    circ = build_activation(custom_activation(lambda t: 0.25), 1, 2)
+    sigma = activation_table(ActivationFn("custom", lambda t: 0.25), np.arange(2))
+    circ = activation_stage(sigma, 2)
     assert circ.num_qubits == 3

@@ -22,8 +22,6 @@ from qgansim.statevec import (
     apply_op,
     basis_ket,
     circuit_matrix,
-    cry,
-    crz,
     diagonal,
     hadamard,
     inner,
@@ -44,10 +42,14 @@ def random_state(rng, n):
     return StateVector(n, v / np.linalg.norm(v))
 
 
-def dense(gate):
-    """A gate's dense matrix, from circuit_matrix of a one-op circuit."""
-    op = CircuitOp(gate, tuple(range(gate.arity)))
-    return circuit_matrix(QuantumCircuit(gate.arity, (op,)))
+def dense(gate, controls=0):
+    """A gate's dense matrix, from circuit_matrix of a one-op circuit.
+
+    With `controls` > 0 the gate acts on the last qubits, controlled by
+    that many leading ones.
+    """
+    op = CircuitOp(gate, tuple(range(controls, controls + gate.arity)), tuple(range(controls)))
+    return circuit_matrix(QuantumCircuit(controls + gate.arity, (op,)))
 
 
 def embedded_matrix(op, num_qubits):
@@ -146,10 +148,10 @@ def test_gate_factory_matrices():
     assert_allclose(dense(pauli_x()), [[0, 1], [1, 0]], atol=1e-15)
     expect = np.eye(4, dtype=complex)
     expect[2:, 2:] = [[c, -s], [s, c]]
-    assert_allclose(dense(cry(theta)), expect, atol=1e-15)
+    assert_allclose(dense(ry(theta), controls=1), expect, atol=1e-15)
     alpha = 0.3
     expect = np.diag([1.0, 1.0, 1.0, np.exp(2j * np.pi * alpha)])
-    assert_allclose(dense(crz(alpha)), expect, atol=1e-15)
+    assert_allclose(dense(diagonal([0.0, alpha]), controls=1), expect, atol=1e-15)
     perm = np.zeros((4, 4))
     perm[[0, 2, 1, 3], [0, 1, 2, 3]] = 1.0
     assert_allclose(dense(swap()), perm, atol=1e-15)
@@ -195,8 +197,8 @@ def test_unitary_gate_rejects_non_finite_entries():
         pauli_x(),
         ry(0.7),
         ry(-3.1),
-        cry(1.3),
-        crz(0.3),
+        ry(1.3),
+        diagonal([0.0, 0.3]),
         swap(),
         diagonal([0.1, 0.7]),
         diagonal(np.linspace(0.0, 1.0, 4)),
@@ -204,9 +206,11 @@ def test_unitary_gate_rejects_non_finite_entries():
     ],
 )
 def test_factory_matrices_are_unitary(gate):
-    # On the dense matrix the kernel applies, whatever form the gate holds.
-    mat = dense(gate)
-    assert_allclose(mat @ mat.conj().T, np.eye(2**gate.arity), rtol=0, atol=1e-12)
+    # On the dense matrix the kernel applies, whatever form the gate holds,
+    # alone and under a control.
+    for controls in (0, 1):
+        mat = dense(gate, controls)
+        assert_allclose(mat @ mat.conj().T, np.eye(len(mat)), rtol=0, atol=1e-12)
 
 
 def _permutation_gate(perm):
@@ -218,8 +222,7 @@ def test_factories_build_the_form_the_kernel_reads():
     cases = [
         (hadamard(), "matrix"),
         (ry(0.7), "matrix"),
-        (cry(0.5), "matrix"),
-        (crz(0.3), "diag"),
+        (diagonal([0.0, 0.3]), "diag"),
         (diagonal([0.1, 0.2, 0.3, 0.4]), "diag"),
         (pauli_x(), "perm"),
         (swap(), "perm"),
@@ -229,7 +232,8 @@ def test_factories_build_the_form_the_kernel_reads():
         assert held == [form], (gate, held)
     assert pauli_x().perm == (1, 0)
     assert swap().perm == (0, 2, 1, 3)
-    assert_allclose(crz(0.25).diag, [1, 1, 1, 1j], atol=1e-15)
+    # A controlled phase is a one-qubit diagonal under a control.
+    assert_allclose(diagonal([0.0, 0.25]).diag, [1, 1j], atol=1e-15)
     # The width cap is the state's, not a dense matrix's.
     assert diagonal(np.zeros(2**MAX_QUBITS)).arity == MAX_QUBITS
 
@@ -247,12 +251,12 @@ def test_factories_build_the_form_the_kernel_reads():
         (lambda: UnitaryGate(1, perm=(0, 1, 2, 3)), "reorder"),
         (lambda: diagonal([0.0, np.nan]), "finite"),
         (lambda: diagonal([np.inf, 0.0]), "finite"),
-        (lambda: crz(np.nan), "finite"),
+        (lambda: CircuitOp(diagonal([0.0, np.nan]), (1,), (0,)), "finite"),
         (lambda: diagonal(np.zeros(2 ** (MAX_QUBITS + 1))), "over the limit"),
     ],
     ids=[
         "no-form", "matrix-and-diag", "diag-and-perm", "diag-length", "diag-modulus",
-        "diag-nan", "perm-repeat", "perm-length", "phase-nan", "phase-inf", "crz-nan",
+        "diag-nan", "perm-repeat", "perm-length", "phase-nan", "phase-inf", "controlled-phase-nan",
         "diagonal-too-wide",
     ],
 )
@@ -339,9 +343,12 @@ def test_circuit_matrix_refuses_wide_circuits_before_allocating():
 def test_circuit_matrix_reproduces_composition():
     theta = 1.1
     circ = QuantumCircuit(
-        2, (CircuitOp(hadamard(), (0,)), CircuitOp(cry(theta), (0, 1)))
+        2, (CircuitOp(hadamard(), (0,)), CircuitOp(ry(theta), (1,), (0,)))
     )
-    expect = cry(theta).matrix @ np.kron(H, np.eye(2))
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    cry = np.eye(4, dtype=complex)
+    cry[2:, 2:] = [[c, -s], [s, c]]
+    expect = cry @ np.kron(H, np.eye(2))
     assert_allclose(circuit_matrix(circ), expect, atol=1e-12)
 
 
@@ -431,7 +438,7 @@ def test_random_circuits_preserve_norm(seed):
             ops.append(CircuitOp(ry(float(rng.uniform(0, 2 * np.pi))), (q,)))
         elif kind == 2 and n > 1:
             other = int((q + 1 + rng.integers(0, n - 1)) % n)
-            ops.append(CircuitOp(crz(float(rng.uniform())), (q, other)))
+            ops.append(CircuitOp(diagonal([0.0, float(rng.uniform())]), (q,), (other,)))
         else:
             ops.append(CircuitOp(diagonal(rng.uniform(0, 1, 2)), (q,)))
     out = run_circuit(QuantumCircuit(n, tuple(ops)), random_state(rng, n))
@@ -458,11 +465,13 @@ def _random_op(rng, n):
             q, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
             gate = UnitaryGate(k, q)
         elif kind == 1:
-            gate = [hadamard(), ry(float(rng.uniform(0, 7))), cry(float(rng.uniform(0, 7)))][
-                int(rng.integers(0, 3))
-            ]
+            gate = [hadamard(), ry(float(rng.uniform(0, 7)))][int(rng.integers(0, 2))]
         elif kind == 2:
-            gate = crz(float(rng.uniform()))
+            # A controlled RY or phase, as in the ansatz, the QFT and the
+            # perceptron: it takes at least one control where there is room.
+            gate = [ry(float(rng.uniform(0, 7))), diagonal([0.0, float(rng.uniform())])][
+                int(rng.integers(0, 2))
+            ]
         elif kind in (3, 4):
             gate = diagonal(rng.uniform(0, 1, 2 ** int(rng.integers(1, 4))))
         elif kind == 5:
@@ -472,7 +481,8 @@ def _random_op(rng, n):
         if gate.arity <= n:
             break
     wires = [int(w) for w in rng.permutation(n)]
-    n_ctrl = int(rng.integers(0, n - gate.arity + 1))
+    least = int(kind == 2 and n > gate.arity)
+    n_ctrl = int(rng.integers(least, n - gate.arity + 1))
     return CircuitOp(gate, tuple(wires[: gate.arity]), tuple(wires[gate.arity :][:n_ctrl]))
 
 
@@ -511,10 +521,10 @@ def test_groups_fuse_ops_that_commute_into_place():
     assert [wires for _, wires in groups] == [
         list(range(q, min(q + width, 20))) for q in range(0, 20, width)
     ]
-    # H(5) may not move ahead of crz(0, 5), which shares qubit 5 with it,
-    # into H(0)'s group, though that group has room for it.
+    # H(5) may not move ahead of the phase on (0, 5), which shares qubit 5
+    # with it, into H(0)'s group, though that group has room for it.
     h0, h1, h5 = (CircuitOp(hadamard(), (q,)) for q in (0, 1, 5))
-    cz = CircuitOp(crz(0.3), (0, 5), (6,))
+    cz = CircuitOp(diagonal([0.0, 0.3]), (5,), (0, 6))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_FUSE_QUBITS", 3)
         assert [run for run, _ in statevec._groups([h0, h1, cz, h5])] == [[h0, h1], [cz, h5]]

@@ -223,6 +223,18 @@ def test_discretize_rejects_butterfly_arbitrage_naming_k(n):
         discretize(_ARBITRAGE_SMILE, n)
 
 
+def test_check_butterfly_sees_arbitrage_narrower_than_its_grid():
+    # g < 0 only within about 200 xi = 2.4e-5 of m, between two grid points:
+    # the check must refuse the smile itself, naming a k near m, not leave
+    # it to discretize's bin masses.
+    narrow = SviParams(a=0.0, b=1e-5, rho=-1.0, m=-2.08e-76, xi=1.19e-7)
+    assert density(narrow, -2.0e-7) < 0.0
+    with pytest.raises(ValueError, match="butterfly arbitrage") as info:
+        check_butterfly(narrow)
+    k = float(str(info.value).rsplit("at k = ", 1)[1])
+    assert -1e-4 < k < 0.0 and density(narrow, k) < 0.0
+
+
 def test_readme_smile_has_no_butterfly_arbitrage():
     check_butterfly(DEFAULT_SMILE_PARAMS)
     ks = np.linspace(-1.0, 1.0, 2001)
