@@ -12,6 +12,15 @@ permutation), the target qubits in gate order (``targets[0]`` is the most
 significant bit of the gate's own basis index), the register width n, and
 the control bitmask ``cmask`` (bit significance n - 1 - c for control
 qubit c).
+
+A dense gate without controls whose targets are a sorted run of wires
+(every fused block of an RY layer, most QFT blocks) takes the span path:
+the amplitudes, viewed as (2^first, 2^k, cols), are multiplied in place by
+BLAS one cache-sized piece at a time, with no copy of the target axes. A
+real matrix (RY, H and their products) is applied to the float64 view,
+where the (re, im) pair is one more column axis, with half the flops of
+complex arithmetic. Other dense gates move their target axes to the front
+of each sub-view and multiply a copy.
 """
 
 import itertools
@@ -20,15 +29,17 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Dense and permutation gates are applied to sub-views of at most
-# 2^_BLOCK_QUBITS amplitudes (256 KiB), so that their block copies stay in
-# cache: on a 20-qubit register this halves the time of a 1-qubit gate
-# against one whole-state pass. statevec also caps a folded diagonal run at
-# this many qubits.
+# Dense and permutation gates are applied to sub-views, and the span path
+# to pieces, of at most 2^_BLOCK_QUBITS amplitudes (256 KiB), so that their
+# copies and product buffers stay in cache: on a 20-qubit register this
+# halves the time of a 1-qubit gate against one whole-state pass. statevec
+# also caps a folded diagonal run at this many qubits.
 _BLOCK_QUBITS = 14
 
 # statevec fuses ops into one dense gate over at most this many qubits. On
-# the 20-qubit RY layer and QFT, widths 2, 4 and 5 were slower than 3.
+# the 20-qubit RY layer and QFT, widths 2, 4 and 5 were slower than 3; with
+# the span path, width 4 runs the RY layer in 19-24 ms against 19-21 ms and
+# the QFT in 115-158 ms against 86-119 ms.
 _FUSE_QUBITS = 3
 
 
@@ -62,9 +73,49 @@ def _bits(g, k):
 
 
 def apply_dense(amps, mat, targets, n, cmask):
-    """Apply the 2^k x 2^k matrix `mat` to the k target qubits."""
+    """Apply the 2^k x 2^k matrix `mat` to the k target qubits.
+
+    Uncontrolled targets that are a sorted run of wires take the span path;
+    any other gate moves its target axes to the front of each sub-view and
+    multiplies a copy.
+    """
+    first, k = targets[0], len(targets)
+    if not cmask and list(targets) == list(range(first, first + k)):
+        _apply_span(amps, mat, first, n - first - k)
+        return
     for block in _blocks(amps, targets, n, cmask):
         block[...] = (mat @ block.reshape(len(mat), -1)).reshape(block.shape)
+
+
+def _apply_span(amps, mat, first, low):
+    # `mat` on the wires first, first + 1, ..., with `low` wires after them.
+    # matmul buffers the piece it overwrites, so its only temporary is
+    # piece-sized.
+    if not mat.imag.any():
+        amps, mat, cols = amps.view(np.float64), np.ascontiguousarray(mat.real), 2 << low
+    else:
+        cols = 1 << low
+    dim = len(mat)
+    piece = 2**_BLOCK_QUBITS * 16 // amps.itemsize  # view elements in a sub-view's bytes
+    if cols < 8:
+        # Few columns make many tiny products. Each row of the
+        # (rows, 2^k * cols) view is multiplied by kron(mat, I_cols)^T
+        # instead: cols times the flops, in one product per piece. From 8
+        # columns on, the tiny products were the faster (4.6 against 11 ms
+        # for a real 3-qubit gate on 20 qubits).
+        wide = np.kron(mat, np.eye(cols)).T
+        view = amps.reshape(-1, dim * cols)
+        step = max(1, piece // (dim * cols))
+        for a in range(0, len(view), step):
+            block = view[a : a + step]
+            np.matmul(block, wide, out=block)
+        return
+    view = amps.reshape(-1, dim, cols)
+    step, width = max(1, piece // (dim * cols)), min(cols, max(1, piece // dim))
+    for a in range(0, len(view), step):
+        for c in range(0, cols, width):
+            block = view[a : a + step, :, c : c + width]
+            np.matmul(mat, block, out=block)
 
 
 def apply_diag(amps, diag, targets, n, cmask):

@@ -48,6 +48,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise click.UsageError(f"cannot read --config {path}: {exc.strerror or exc}")
     except ValueError as exc:
         raise click.UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -123,8 +125,27 @@ def _train_config(raw: dict, seed: int | None) -> TrainConfig:
         raise click.UsageError(str(exc))
 
 
+def _out(out_dir: str) -> Path:
+    # The output directory, made once the config is checked and before any
+    # training or writing, so that a bad path fails at once and a rejected
+    # config leaves no directory. An OSError here or in _write exits with 1.
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot create --out-dir {out}: {exc.strerror or exc}")
+    return out
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _echo_line(payload: dict) -> None:
@@ -161,15 +182,14 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
 def target(config_path: str | None, out_dir: str) -> None:
     """Write the discretized target (JSON) and density curve (CSV)."""
     raw = _load_config(config_path)
     params, dist = _smile(raw, _train_config(raw, None).n_qubits)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(out_dir)
     _dump_json(
         out / "target.json",
         {
@@ -183,12 +203,12 @@ def target(config_path: str | None, out_dir: str) -> None:
     lines = ["k,density"]
     # repr of the builtin float is the shortest round-trip form
     lines += [f"{float(k)!r},{float(density(params, k))!r}" for k in ks]
-    (out / "density.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "density.csv", "\n".join(lines) + "\n")
     click.echo(f"wrote {out / 'target.json'} and {out / 'density.csv'}")
 
 
 @main.command(name="train")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=None, help="overrides the config seed")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
 def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
@@ -197,11 +217,10 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
     cfg = _train_config(raw, seed)
     disc = _discriminator(raw, cfg.n_qubits)
     dist = _smile(raw, cfg.n_qubits)[1]
+    out = _out(out_dir)
 
     trace = train(cfg, dist, disc)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["epoch,score,fidelity,kl,trace_distance"]
     for epoch in range(trace.num_epochs):
         cells = (
@@ -211,7 +230,7 @@ def train_cmd(config_path: str | None, seed: int | None, out_dir: str) -> None:
             trace.trace_distances[epoch],
         )
         lines.append(f"{epoch}," + ",".join(repr(float(c)) for c in cells))
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "trace.csv", "\n".join(lines) + "\n")
 
     final_theta = trace.thetas[-1]
     generated_masses = generate_amps(cfg.n_qubits, final_theta[None])[0] ** 2

@@ -8,12 +8,14 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgansim import cli
 from qgansim.cli import main
 
 
@@ -449,6 +451,49 @@ def test_malformed_config_is_rejected_naming_the_key(runner, tmp_path, command, 
     assert isinstance(result.exception, SystemExit), result.exception
     assert key in combined(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "target"])
+def test_config_naming_a_directory_is_a_usage_error(runner, tmp_path, command):
+    result = runner.invoke(main, [command, "--config", str(tmp_path), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2, combined(result)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "--config" in combined(result)
+
+
+def test_unreadable_config_is_a_usage_error_naming_the_option(tmp_path):
+    # A directory passes no --config check of its own here, so reading it
+    # fails with an OSError.
+    with pytest.raises(click.UsageError, match="--config"):
+        cli._load_config(str(tmp_path))
+
+
+def _refuses_to_train(*args, **kwargs):
+    raise AssertionError("training started before the output directory was made")
+
+
+@pytest.mark.parametrize("command", ["train", "target"])
+def test_out_dir_under_a_file_fails_before_any_work(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "train", _refuses_to_train)
+    cfg = _small_train_config(tmp_path)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = plain / "out"
+    result = runner.invoke(main, [command, "--config", cfg, "--out-dir", str(out)])
+    assert result.exit_code == 1, combined(result)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"cannot create --out-dir {out}" in combined(result)
+
+
+@pytest.mark.parametrize("command, artifact", [("train", "trace.csv"), ("target", "target.json")])
+def test_artifact_path_taken_by_a_directory_is_reported(runner, tmp_path, command, artifact):
+    cfg = _small_train_config(tmp_path)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    result = runner.invoke(main, [command, "--config", cfg, "--out-dir", str(out)])
+    assert result.exit_code == 1, combined(result)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"cannot write {out / artifact}" in combined(result)
 
 
 # Option sets for the demos. Each option mostly takes a value the demo must

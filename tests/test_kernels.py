@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qgansim import _kernels
+from qgansim.fourier import qft, qft_circuit
+from qgansim.statevec import CircuitOp, QuantumCircuit, StateVector, ry, run_circuit
 
 _I = np.eye(2)
 _ONE = np.diag([0.0, 1.0])  # |1><1|
@@ -78,6 +80,63 @@ def test_dense_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
     expected = _full_matrix(n, mat, targets, controls) @ amps
     _kernels.apply_dense(amps, np.ascontiguousarray(mat), targets, n, _cmask(n, controls))
     assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+
+# Uncontrolled gates on a sorted run of wires take the span path: every run
+# of k = 1..3 wires at every offset. Real matrices go through the float64
+# view, complex ones through the complex array; the last wires give the
+# few-column (Kronecker) products.
+_SPAN_CASES = [
+    (n, k, first)
+    for n in range(1, 9)
+    for k in range(1, min(n, 3) + 1)
+    for first in range(n - k + 1)
+]
+
+
+def _no_blocks(*args):
+    raise AssertionError("a sorted, uncontrolled run of wires left the span path")
+
+
+@pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 1])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n,k,first", _SPAN_CASES)
+def test_dense_on_a_run_of_wires_matches_kronecker_matrix(
+    n, k, first, real, block_qubits, monkeypatch
+):
+    monkeypatch.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+    monkeypatch.setattr(_kernels, "_blocks", _no_blocks)
+    rng = np.random.default_rng(100 * n + 10 * k + first)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    raw = rng.normal(size=(2**k, 2**k))
+    if not real:
+        raw = raw + 1j * rng.normal(size=(2**k, 2**k))
+    mat = np.ascontiguousarray(np.linalg.qr(raw)[0], dtype=np.complex128)
+    targets = tuple(range(first, first + k))
+    expected = _full_matrix(n, mat, targets, ()) @ amps
+    _kernels.apply_dense(amps, mat, targets, n, 0)
+    assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+
+def test_sixteen_qubit_ry_layer_and_qft_match_slices_and_the_fft():
+    # run_circuit fuses the RY layer into real blocks on runs of wires and
+    # the QFT into complex ones; the reference rotates reshaped slices and
+    # transforms with the FFT.
+    n = 16
+    rng = np.random.default_rng(16)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps /= np.linalg.norm(amps)
+    angles = rng.uniform(0.0, 2.0 * np.pi, n)
+    layer = QuantumCircuit(n, tuple(CircuitOp(ry(a), (q,)) for q, a in enumerate(angles)))
+    state = run_circuit(qft_circuit(n), run_circuit(layer, StateVector(n, amps)))
+    expected = amps.copy()
+    for q, angle in enumerate(angles):
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        zero, one = expected.reshape(2**q, 2, -1).transpose(1, 0, 2)
+        zero[...], one[...] = c * zero - s * one, s * zero + c * one
+    expected = qft(StateVector(n, expected)).amps
+    assert_allclose(state.amps, expected, rtol=0, atol=1e-10)
 
 
 # Diagonals over more than two qubits take the one-multiply branch.
