@@ -40,12 +40,19 @@ _TRACE_BUDGET_BYTES = 2**30
 # 2^29.1 at n = MAX_QUBITS.
 _EPOCH_BUDGET = 2**30
 
+# Bounds under which no training step overflows: a weight gradient is at
+# most 1 / fd_step, and a descent step moves an (unwrapped) angle by at
+# most lr_g, as its shift-rule weights sum to 1 in magnitude.
+_MIN_FD_STEP = 2.0**-52
+_MAX_RATE = 1e6
+
 
 def _check_fd_step(fd_step) -> None:
-    # Past 1 the central difference can weigh a frequency by zero or less.
+    # Past 1 the central difference can weigh a frequency by zero or less;
+    # below 2^-52 a probe beside w = +-1 rounds back onto w.
     check_real("fd_step", fd_step)
-    if not 0.0 < fd_step <= 1.0:
-        raise ValueError(f"fd_step = {fd_step!r} is outside (0, 1] (see grad_w)")
+    if not _MIN_FD_STEP <= fd_step <= 1.0:
+        raise ValueError(f"fd_step = {fd_step!r} is outside [2^-52, 1] (see grad_w)")
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class ScoreValue:
 class TrainConfig:
     """Hyperparameters of the alternating gradient game (shots = 0: exact).
 
-    fd_step in (0, 1] is the step of every weight gradient (see grad_w).
+    fd_step in [2^-52, 1] is the step of every weight gradient (see grad_w).
     """
 
     n_qubits: int = 4
@@ -88,8 +95,8 @@ class TrainConfig:
         for key in ("lr_d", "lr_g"):
             value = getattr(self, key)
             check_real(key, value)
-            if value <= 0.0:
-                raise ValueError(f"{key} = {value!r} is not positive")
+            if not 0.0 < value <= _MAX_RATE:
+                raise ValueError(f"{key} = {value!r} is outside (0, {_MAX_RATE:g}]")
         _check_fd_step(self.fd_step)
         n = self.n_qubits
         trace_bytes = self.epochs * (num_params(n) + n + 4) * 8

@@ -30,7 +30,7 @@ from .qneuron import (
     scaled_identity_activation,
     sigmoid_activation,
 )
-from .statevec import MAX_QUBITS, basis_ket, diagonal
+from .statevec import MAX_QUBITS, basis_ket
 from .svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, SviParams, density, discretize
 
 # Every setting is checked and defaulted by its library type; the CLI only
@@ -281,13 +281,11 @@ def demo_qft(n: int, basis: int) -> None:
 def demo_qpe(phi: float, ancillas: int) -> None:
     """Phase estimation of diag(1, e^{2 pi i phi}) on eigenstate |1>."""
     try:
-        unitary = diagonal([0.0, phi])
+        dist = qpe_distribution([0.0, phi], basis_ket(1, 1), ancillas)
     except ValueError as exc:
-        raise click.UsageError(f"--phi = {phi}: {exc}")
-    try:
-        dist = qpe_distribution(unitary, basis_ket(1, 1), ancillas)
-    except ValueError as exc:
-        raise click.UsageError(f"--m = {ancillas}: {exc}")
+        # The phases are checked first, so only a register message names ancillas.
+        bad = f"--m = {ancillas}" if str(exc).startswith("ancillas = ") else f"--phi = {phi}"
+        raise click.UsageError(f"{bad}: {exc}")
     _echo_distribution(dist)
 
 

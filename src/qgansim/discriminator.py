@@ -56,18 +56,16 @@ class DiscriminatorConfig:
         # At least one data qubit must fit beside the two registers.
         check_neuron_width(self.m1, self.m2, 1, 1)
 
-    min_m2 = staticmethod(min_signed_ancillas)
-
     def check_width(self, n: int) -> np.ndarray:
         """Raise unless the perceptron circuit on n data qubits can be built.
 
         Returns the activation table: sigma[r] is the activation of the
         signed product that m2-register outcome r decodes to.
         """
-        if self.m2 < self.min_m2(n):
+        if self.m2 < min_signed_ancillas(n):
             raise ValueError(
                 f"m2 = {self.m2} cannot hold signed products of {n} features; "
-                f"need at least {self.min_m2(n)}"
+                f"need at least {min_signed_ancillas(n)}"
             )
         check_neuron_width(self.m1, self.m2, n, 1)
         products = signed_decode(np.arange(2**self.m2), self.m2)
@@ -76,7 +74,7 @@ class DiscriminatorConfig:
     @classmethod
     def for_width(cls, n: int) -> "DiscriminatorConfig":
         """Smallest sigmoid perceptron accepting n data qubits."""
-        return cls(m1=1, m2=cls.min_m2(n))
+        return cls(m1=1, m2=min_signed_ancillas(n))
 
 
 def build_discriminator(

@@ -20,6 +20,7 @@ from .statevec import (
     CircuitOp,
     QuantumCircuit,
     StateVector,
+    check_int,
     diagonal,
     hadamard,
     swap,
@@ -28,8 +29,7 @@ from .statevec import (
 
 def qft_matrix(num_qubits: int) -> np.ndarray:
     """Dense QFT matrix F[k, j] = e^(2*i*pi*j*k/2^n) / sqrt(2^n)."""
-    if not 1 <= num_qubits <= _MAX_GATE_QUBITS:
-        raise ValueError(f"dense QFT matrix limited to {_MAX_GATE_QUBITS} qubits")
+    check_int("num_qubits", num_qubits, 1, _MAX_GATE_QUBITS)
     dim = 2**num_qubits
     # Entries are read from the 2^n roots of unity by jk mod 2^n, so the only
     # d x d temporary is the int32 exponent table (jk < 2^24 at 12 qubits).
@@ -57,8 +57,7 @@ def qft_circuit(num_qubits: int, *, _sign: float = 1.0) -> QuantumCircuit:
     qft() up to rounding.
     """
     # Checked before the n(n-1)/2 controlled phases are built.
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
     ops = []
     for q in range(num_qubits):
         ops.append(CircuitOp(hadamard(), (q,)))

@@ -5,7 +5,9 @@ Hadamards, each ancilla controls the unitary raised to its bit weight,
 and an inverse QFT turns the accumulated phases into an m-bit estimate.
 estimation_circuit builds that construction for every phase estimation
 in the package, the quantum neuron's two included, and register_readout
-runs each of them and reads its register.
+runs each of them and reads its register. Every unitary estimated here
+is diagonal: qpe_circuit takes its eigenphases, for QPE and the neuron's
+activation stage alike.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .statevec import (
     CircuitOp,
     QuantumCircuit,
     StateVector,
-    UnitaryGate,
-    apply_op,
     basis_ket,
     check_int,
     check_real,
+    diagonal,
     hadamard,
     register_distribution,
     run_circuit,
@@ -67,57 +68,48 @@ def register_readout(
     return register_distribution(run_circuit(circuit, initial), read)
 
 
-def _check_eigenstate(unitary: UnitaryGate, eigenstate: StateVector) -> None:
-    if eigenstate.num_qubits != unitary.arity:
+def _check_eigenstate(phases, eigenstate: StateVector) -> None:
+    entries = diagonal(phases).diag
+    if eigenstate.amps.size != entries.size:
         raise ValueError("eigenstate width does not match the unitary")
-    image = apply_op(eigenstate, CircuitOp(unitary, range(unitary.arity))).amps
+    image = entries * eigenstate.amps
     lam = np.vdot(eigenstate.amps, image)
     residual = np.linalg.norm(image - lam * eigenstate.amps)
     if residual > _EIGEN_TOL:
         raise ValueError(f"state is not an eigenvector (residual {residual:g})")
 
 
-def _squared(gate: UnitaryGate) -> UnitaryGate:
-    # U^2 in the form U is held in, so powers of a diagonal stay diagonal.
-    if gate.diag is not None:
-        return UnitaryGate(gate.arity, diag=gate.diag * gate.diag)
-    if gate.perm is not None:
-        return UnitaryGate(gate.arity, perm=tuple(gate.perm[j] for j in gate.perm))
-    return UnitaryGate(gate.arity, gate.matrix @ gate.matrix)
+def qpe_circuit(phases, ancillas: int) -> QuantumCircuit:
+    """Estimation circuit of Diag(e^(2*i*pi*phases)) on an m = `ancillas` register.
 
-
-def qpe_circuit(unitary: UnitaryGate, ancillas: int) -> QuantumCircuit:
-    """Estimation circuit: H's, controlled powers, inverse QFT on ancillas."""
-    k = unitary.arity
-    # First, so an oversized register is refused before the m squarings.
-    check_int("ancillas", ancillas, 1, MAX_QUBITS - k)
+    Ancilla s (wire s) controls that diagonal on wires m.. with the phases,
+    reduced mod 1, scaled by its bit weight 2^(m-1-s), so every power is
+    exact and every scaled phase finite.
+    """
+    k = diagonal(phases).arity  # refuses non-finite phases and bad lengths
+    check_int("ancillas", ancillas, 1, MAX_QUBITS - k)  # before the m powers
     m = ancillas
-    eig_targets = tuple(range(m, m + k))
-    # Ancilla s has bit weight 2^(m-1-s) in the register value, so it
-    # controls U^(2^(m-1-s)); powers come from repeated squaring.
-    powers = [unitary]
-    for _ in range(m - 1):
-        powers.append(_squared(powers[-1]))
-    kernel = [CircuitOp(powers[m - 1 - s], eig_targets, (s,)) for s in range(m)]
+    reduced = np.remainder(phases, 1.0)
+    kernel = [
+        CircuitOp(diagonal(reduced * 2 ** (m - 1 - s)), range(m, m + k), (s,)) for s in range(m)
+    ]
     return estimation_circuit(m + k, 0, m, kernel)
 
 
-def qpe_distribution(
-    unitary: UnitaryGate, eigenstate: StateVector, ancillas: int
-) -> np.ndarray:
-    """Exact measurement distribution over the 2^m ancilla outcomes."""
-    _check_eigenstate(unitary, eigenstate)
-    return register_readout(qpe_circuit(unitary, ancillas), ancillas, eigenstate, ancillas)
+def qpe_distribution(phases, eigenstate: StateVector, ancillas: int) -> np.ndarray:
+    """Exact distribution of the 2^m outcomes estimating the eigenphase of
+    Diag(e^(2*i*pi*phases)) on `eigenstate`, which must be an eigenvector."""
+    circuit = qpe_circuit(phases, ancillas)
+    _check_eigenstate(phases, eigenstate)
+    return register_readout(circuit, ancillas, eigenstate, ancillas)
 
 
-def estimate_phase(
-    unitary: UnitaryGate, eigenstate: StateVector, ancillas: int, rng_seed: int
-) -> float:
-    """Sample one outcome k from the m-ancilla QPE distribution; returns k / 2^m.
+def estimate_phase(phases, eigenstate: StateVector, ancillas: int, rng_seed: int) -> float:
+    """Sample one outcome j of qpe_distribution(phases, ...); returns j / 2^m.
 
     size_ancillas gives the m that meets an accuracy and failure budget.
     """
-    dist = qpe_distribution(unitary, eigenstate, ancillas)
+    dist = qpe_distribution(phases, eigenstate, ancillas)
     rng = np.random.default_rng(rng_seed)
     outcome = int(rng.choice(dist.size, p=dist / dist.sum()))
     return outcome / 2**ancillas

@@ -1,5 +1,5 @@
 """Quantum neuron primitives: input encoding, phase-encoded inner
-products, and a diagonal activation stage.
+products, and the perceptron circuit with its activation stage.
 
 The inner-product kernel U_wm phase-tags an m-qubit ancilla register so
 that, after Hadamards, the joint state carries e^(2*i*pi*j*t/2^m) on
@@ -18,7 +18,7 @@ from math import ceil, log2
 import numpy as np
 
 from .fourier import encode_fraction
-from .phase_estimation import estimation_circuit, register_readout
+from .phase_estimation import estimation_circuit, qpe_circuit, register_readout
 from .statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -186,23 +186,6 @@ def qip_signed(x, w: WeightVector, ancillas: int, precision: int) -> float:
     return float(signed_decode(estimate, ancillas))
 
 
-def activation_stage(sigma: np.ndarray, ancillas: int) -> QuantumCircuit:
-    """Phase-estimation circuit writing the m1-bit fraction of sigma[x].
-
-    The unitary under estimation is Diag(e^(2*i*pi*sigma)) over the input
-    register, whose eigenphase on basis input |x> is exactly sigma[x], the
-    activation in [0, 1) of register value x (see activation_table).
-    """
-    m1 = ancillas
-    width = m1 + sigma.size.bit_length() - 1  # sigma holds 2^q values
-    # Ancilla s controls the 2^(m1-1-s) power, a diagonal with the phases
-    # scaled by that bit weight.
-    kernel = [
-        CircuitOp(diagonal(sigma * 2 ** (m1 - 1 - s)), range(m1, width), (s,)) for s in range(m1)
-    ]
-    return estimation_circuit(width, 0, m1, kernel)
-
-
 def neuron_circuit(w: WeightVector, sigma: np.ndarray, m1: int, precision: int) -> QuantumCircuit:
     """The perceptron on [m1 activation | m2 inner product | data] qubits.
 
@@ -212,7 +195,8 @@ def neuron_circuit(w: WeightVector, sigma: np.ndarray, m1: int, precision: int) 
     u_wm = build_u_wm(w, m2, precision)
     width = m1 + u_wm.num_qubits
     product = estimation_circuit(width, m1, m2, shift_circuit(u_wm, m1, width).ops)
-    return QuantumCircuit(width, product.ops + activation_stage(sigma, m1).ops)
+    # The activation stage: sigma[x] is the eigenphase on register value x.
+    return QuantumCircuit(width, product.ops + qpe_circuit(sigma, m1).ops)
 
 
 def check_neuron_width(m1: int, m2: int, inputs: int, precision: int) -> None:

@@ -54,10 +54,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps):
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-            )
+        check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
         arr = np.asarray(amps, dtype=np.complex128)
         if arr.shape != (2**num_qubits,):
             raise ValueError(
@@ -164,8 +161,7 @@ class QuantumCircuit:
 
     def __post_init__(self):
         ops = tuple(self.ops)
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+        check_int("num_qubits", self.num_qubits, 1, MAX_QUBITS)
         for op in ops:
             if op.max_qubit() >= self.num_qubits:
                 raise ValueError(
@@ -178,8 +174,7 @@ class QuantumCircuit:
 def basis_ket(num_qubits: int, index: int) -> StateVector:
     """|index> on num_qubits qubits."""
     # Checked before the 2^num_qubits amplitudes are allocated.
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    check_int("num_qubits", num_qubits, 1, MAX_QUBITS)
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=np.complex128)
@@ -191,8 +186,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the most significant."""
     # Checked before the 2^(a + b) amplitudes are allocated.
     width = a.num_qubits + b.num_qubits
-    if width > MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {width}")
+    check_int("num_qubits", width, 1, MAX_QUBITS)
     return StateVector(width, np.kron(a.amps, b.amps))
 
 

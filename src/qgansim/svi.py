@@ -78,32 +78,25 @@ class DiscreteDistribution:
         return np.linspace(-1.0, 1.0, 2**self.n_qubits + 1)
 
 
-def _variance(params: SviParams, k):
+def svi_derivatives(params: SviParams, k):
     """(w, w', w'') at k, elementwise over a float or an array, where
     w(k) = a + b * (rho*(k - m) + sqrt((k - m)^2 + xi^2)) is the total
-    variance. Raises naming the first k where w <= 0."""
+    variance. Raises naming the first k where w is not in (0, inf)."""
     k = np.asarray(k, dtype=np.float64)
     d = k - params.m
     r = np.hypot(d, params.xi)
-    w = params.a + params.b * (params.rho * d + r)
-    if not np.all(w > 0.0):
-        i = np.argmin(w > 0.0)  # the first k that fails
-        raise ValueError(f"total variance {w.flat[i]} is not positive at k = {k.flat[i]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = params.a + params.b * (params.rho * d + r)
+    ok = (w > 0.0) & (w < np.inf)  # NaN fails too
+    if not np.all(ok):
+        i = np.argmin(ok)  # the first k that fails
+        what = "not positive" if w.flat[i] <= 0.0 else "not finite"
+        raise ValueError(f"total variance {w.flat[i]} is {what} at k = {k.flat[i]}")
     # r >= xi > 0. Within a subnormal distance of m, w'' overflows to inf:
     # the density there is a spike too narrow for a double.
     with np.errstate(over="ignore"):
         wpp = params.b * (params.xi / r) ** 2 / r
     return w, params.b * (params.rho + d / r), wpp
-
-
-def total_variance(params: SviParams, k: float) -> float:
-    """Total variance w(k) of the smile; raises unless it is positive."""
-    return float(_variance(params, k)[0])
-
-
-def svi_derivatives(params: SviParams, k: float):
-    """(w, w', w'') of the total variance at k, in closed form."""
-    return tuple(float(v) for v in _variance(params, k))
 
 
 def _norm_cdf(x: float) -> float:
@@ -181,10 +174,11 @@ def check_butterfly(params: SviParams) -> None:
     # The smile's one feature narrower than the grid has width xi around m.
     # The offsets t are spaced 0.1 at m and reach |t| = 1490.
     t = np.sinh(np.linspace(-8.0, 8.0, 161))
-    near = np.clip(params.m + params.xi * t, -1.0, 1.0)
-    k = np.concatenate([_ARBITRAGE_GRID, near])
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _butterfly_g(k, *_variance(params, k))
+        # An offset past the float range is +-inf, which the clip puts on an edge.
+        near = np.clip(params.m + params.xi * t, -1.0, 1.0)
+        k = np.concatenate([_ARBITRAGE_GRID, near])
+        g = _butterfly_g(k, *svi_derivatives(params, k))
     if not np.all(g >= 0.0):
         i = np.argmin(g >= 0.0)
         raise ValueError(f"smile has butterfly arbitrage: g(k) = {g[i]:.3g} at k = {k[i]:#.4g}")
@@ -196,7 +190,7 @@ def density(params: SviParams, k: float) -> float:
     f(k) = g(k) / sqrt(2*pi*w) * exp(-d_minus^2 / 2) with
     g = (1 - k*w'/(2w))^2 - (w'^2/4)(1/4 + 1/w) + w''/2.
     """
-    w, wp, wpp = _variance(params, k)
+    w, wp, wpp = svi_derivatives(params, k)
     d_minus = -k / np.sqrt(w) - np.sqrt(w) / 2.0
     return _butterfly_g(k, w, wp, wpp) / np.sqrt(2.0 * np.pi * w) * np.exp(-(d_minus**2) / 2.0)
 
@@ -209,7 +203,7 @@ def _cdf(params: SviParams, k):
     F = N(-d_minus) + n(d_minus) w' / (2 sqrt(w)). Both tails come from
     erfc, so each keeps full relative precision.
     """
-    w, wp, _ = _variance(params, k)
+    w, wp, _ = svi_derivatives(params, k)
     d_minus = -k / np.sqrt(w) - np.sqrt(w) / 2.0
     x = np.abs(d_minus) / math.sqrt(2.0)
     # N(-|d_minus|), per k since numpy has no erfc. Past x = 40 exp(-x^2)

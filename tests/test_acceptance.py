@@ -27,7 +27,7 @@ from qgansim.generator import (
 from qgansim.metrics import trace_distance_pure
 from qgansim.phase_estimation import qpe_distribution, size_ancillas
 from qgansim.qneuron import WeightVector, qip, qip_signed, truncated
-from qgansim.statevec import StateVector, basis_ket, diagonal, run_circuit
+from qgansim.statevec import StateVector, basis_ket, run_circuit
 from qgansim.svi import (
     DEFAULT_SMILE_PARAMS,
     DiscreteDistribution,
@@ -87,7 +87,7 @@ def test_criterion_03_qpe_exact_and_inexact_phases():
     probability >= 1 - eps at m = n + ceil(log2(2 + 1/(2 eps)))."""
     for m in range(1, 6):
         for k in range(2**m):
-            dist = qpe_distribution(diagonal([0.0, k / 2**m]), basis_ket(1, 1), m)
+            dist = qpe_distribution([0.0, k / 2**m], basis_ket(1, 1), m)
             assert abs(dist[k] - 1.0) < 1e-10
 
     eps = 0.2
@@ -96,7 +96,7 @@ def test_criterion_03_qpe_exact_and_inexact_phases():
         m = size_ancillas(n, eps)
         outcomes = np.arange(2**m) / 2**m
         for phi in grid:
-            dist = qpe_distribution(diagonal([0.0, phi]), basis_ket(1, 1), m)
+            dist = qpe_distribution([0.0, phi], basis_ket(1, 1), m)
             circ = np.minimum(np.abs(outcomes - phi), 1.0 - np.abs(outcomes - phi))
             success = float(dist[circ <= 2.0**-n + 1e-15].sum())
             assert success >= 1.0 - eps - 1e-12

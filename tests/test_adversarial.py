@@ -326,6 +326,11 @@ def test_weight_gradient_matches_finite_difference_formula():
         ("lr_d", float("inf")),
         ("lr_g", float("nan")),
         ("lr_g", float("inf")),
+        # Larger steps could overflow.
+        ("lr_d", 1e308),
+        ("lr_g", 1.0000001e6),
+        ("fd_step", 5e-324),
+        ("fd_step", 2.0**-53),
         ("fd_step", float("nan")),
         ("fd_step", float("inf")),
         ("fd_step", "1e-5"),
@@ -390,6 +395,13 @@ def test_train_config_bounds_the_work_per_epoch():
         TrainConfig(n_qubits=4, epochs=1, n_d=most + 1)
     with pytest.raises(ValueError, match="^n_g = "):
         TrainConfig(n_qubits=4, epochs=1, n_g=adversarial._EPOCH_BUDGET // theta_probes)
+
+
+@pytest.mark.parametrize("kwargs", [{"lr_d": 1e6, "fd_step": 2.0**-52}, {"lr_g": 1e6}])
+def test_train_at_the_largest_steps_stays_finite(kwargs):
+    # The suite turns a RuntimeWarning (an overflow, say) into an error.
+    trace = train(TrainConfig(n_qubits=3, epochs=3, **kwargs), discretize(DEFAULT_SMILE_PARAMS, 3))
+    assert np.all(np.isfinite(trace.thetas)) and np.all(np.isfinite(trace.kls))
 
 
 def test_train_config_defaults():

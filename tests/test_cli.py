@@ -3,6 +3,7 @@ under a fixed seed, config validation, and the demo subcommands."""
 
 import json
 import shlex
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -422,6 +423,9 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("target", '{"svi": {"xi": 0}}', "svi.xi = 0 is not positive", 1),
         ("train", '{"n_qubits": 2, "svi": {"xi": -0.0}}', "svi.xi = -0.0 is not positive", 1),
         ("target", '{"svi": {"a": 0, "b": 0}}', "total variance 0.0 is not positive at k = -1.0", 1),
+        # Past the float range: the total variance, and the offsets m + xi*t.
+        ("target", '{"svi": {"rho": -1, "m": 1e308}}', "total variance inf is not finite", 1),
+        ("target", '{"svi": {"xi": 1e308}}', "no probability mass inside", 1),
         ("target", '{"n_qubits": "x"}', "n_qubits", 2),
         ("target", '{"n_qubits": 2.7}', "n_qubits", 2),
         ("target", '{"n_qubits": 21}', "n_qubits", 2),
@@ -581,3 +585,117 @@ def test_demo_option_sets_print_a_distribution_or_name_the_bad_option(options):
         assert result.exit_code == 0, (args, combined(result))
         probs = [json.loads(line).get("prob", 0.0) for line in result.output.splitlines()]
         assert abs(sum(probs) - 1.0) < 1e-9, args
+
+
+# Train configs as JSON. Each key mostly takes a value it accepts, now and
+# then an extreme one it may accept, and one time in twenty one it must
+# refuse; each config may also lose keys and sections or gain unknown
+# ones. epochs is always given, so that no accepted run falls back to 300
+# epochs; with n_qubits <= 4 and epochs <= 3 every accepted run is short.
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+_WRONG_TYPES = ["2", None, True, [1], {"v": 1}]
+_TOP_VALUES = {
+    # key: (accepted, extreme values that may be accepted, refused)
+    "n_qubits": (st.integers(1, 4), [], [0, -1, 21, 2.0, 2**70, 1e308]),
+    "epochs": (st.integers(1, 3), [], [0, -1, 2.5, 10**13, 1e308]),
+    "n_d": (st.integers(1, 10), [], [0, -3, 1.5, 10**12]),
+    "n_g": (st.integers(1, 3), [], [0, 1.5, 10**12]),
+    "lr_d": (st.floats(1e-3, 2.0), [1e308, 5e-324, 2**63], [0, -0.5, -1e308, *_NON_FINITE]),
+    "lr_g": (st.floats(1e-3, 2.0), [1e308, 5e-324, 2**63], [0, -0.5, -1e308, *_NON_FINITE]),
+    "shots": (st.integers(0, 2000), [1, 2**62, 2**63 - 1], [-1, 1.5, 2**63]),
+    "seed": (st.integers(0, 2**32), [2**64, 10**30], [-1, 1.5]),
+    "fd_step": (st.floats(0.01, 1.0), [5e-324, 1.0], [0, -0.5, 1.5, *_NON_FINITE]),
+}
+_SVI_VALUES = {
+    "a": (st.floats(0.01, 0.06), [0.0, 1e308, 5e-324], [-0.1, *_NON_FINITE]),
+    "b": (st.floats(0.01, 0.1), [0.0, 1e308], [-1.0, *_NON_FINITE]),
+    "rho": (st.floats(-0.5, 0.5), [-1.0, 1.0], [1.5, -1.0000001, *_NON_FINITE]),
+    "m": (st.floats(-0.3, 0.3), [1e308, -1e308], _NON_FINITE),
+    "xi": (st.floats(0.03, 0.3), [5e-324, 1e308], [0, -0.0, -0.1, *_NON_FINITE]),
+    "T": (st.floats(0.5, 2.0), [5e-324, 1e308], [0, -1.0, *_NON_FINITE]),
+}
+_DISCRIMINATOR_VALUES = {
+    "m1": (st.integers(1, 3), [], [0, 2.0, 25]),
+    "m2": (st.integers(3, 5), [1, 2, 6], [0, 25, 1100]),
+    "activation": (st.sampled_from(["sigmoid", "threshold"]), ["identity"], ["relu", 5, ""]),
+}
+# Refusals that valid values earn together: an m2 too narrow for n inputs,
+# or an activation outside [0, 1) on the register's products.
+_JOINT_REFUSALS = {"discriminator.m2 = ", "discriminator.activation = "}
+
+
+def _section(draw, names, values, prefix):
+    # names["refused"] gets what must be refused, names["named"] every name
+    # a refusal may give.
+    section = {}
+    for key, (good, extreme, bad) in values.items():
+        if key != "epochs" and not draw(st.integers(0, 3)):
+            continue  # a missing key takes its default
+        if not draw(st.integers(0, 19)):
+            names["refused"].add(f"{prefix}{key} = ")
+            section[key] = draw(st.sampled_from(bad + _WRONG_TYPES))
+        elif extreme and not draw(st.integers(0, 5)):
+            names["named"].add(f"{prefix}{key} = ")
+            section[key] = draw(st.sampled_from(extreme))
+        else:
+            section[key] = draw(good)
+    if not draw(st.integers(0, 14)):
+        extra = draw(st.sampled_from(["out_dir", "lr", "", "svi ", "m3"]))
+        where = f"config.{prefix[:-1]}" if prefix else "config"
+        names["refused"].add(f"unknown {where} keys: ")
+        section[extra] = 1
+    return section
+
+
+@st.composite
+def train_configs(draw):
+    """(config, names a refusal must give one of, or None if it may train)."""
+    names = {"refused": set(), "named": set(_JOINT_REFUSALS)}
+    if not draw(st.integers(0, 39)):
+        raw = draw(st.sampled_from([[], 5, "x", None]))
+        names["refused"].add("config must be a JSON object")
+    else:
+        raw = _section(draw, names, _TOP_VALUES, "")
+        for name, values in (("svi", _SVI_VALUES), ("discriminator", _DISCRIMINATOR_VALUES)):
+            kind = draw(st.integers(0, 15))
+            if kind < 5:
+                continue
+            if kind == 5:
+                names["refused"].add(f"config.{name} must be a JSON object")
+                raw[name] = draw(st.sampled_from([[], 5, "x", None]))
+            else:
+                raw[name] = _section(draw, names, values, f"{name}.")
+    return raw, names["refused"], names["refused"] | names["named"]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(train_configs())
+def test_train_configs_train_or_are_refused_naming_the_key(config):
+    raw, refused, named = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(
+                main, ["train", "--config", str(path), "--out-dir", str(out)]
+            )
+        # No traceback: a RuntimeWarning or any other exception lands here.
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            raw, result.exception
+        )
+        assert result.exit_code in (0, 1, 2), (raw, combined(result))
+        if result.exit_code == 0:
+            assert not refused, (raw, refused)
+            rows = (out / "trace.csv").read_text().splitlines()
+            assert len(rows) == raw["epochs"] + 1
+            final = json.loads((out / "train.json").read_text())["final"]
+            assert all(np.isfinite(v) for v in final.values()), (raw, final)
+        elif result.exit_code == 1:
+            # Only the smile fails with 1 here: refused, or without a density.
+            assert "svi" in raw, (raw, combined(result))
+            assert not out.exists()
+        else:
+            assert any(name in result.stderr for name in named), (raw, result.stderr)
+            assert not out.exists()

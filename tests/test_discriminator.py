@@ -19,7 +19,7 @@ from qgansim.discriminator import (
     threshold_activation,
 )
 from qgansim.fourier import qft_matrix
-from qgansim.qneuron import ActivationFn, signed_decode, sigmoid_activation
+from qgansim.qneuron import ActivationFn, min_signed_ancillas, signed_decode, sigmoid_activation
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 
 
@@ -37,11 +37,7 @@ def test_config_defaults_and_validation():
 
 
 def test_min_m2_and_for_width():
-    cfg = DiscriminatorConfig()
-    assert cfg.min_m2(1) == 1
-    assert cfg.min_m2(2) == 2
-    assert cfg.min_m2(4) == 3
-    assert cfg.min_m2(5) == 4
+    assert [min_signed_ancillas(n) for n in (1, 2, 4, 5)] == [1, 2, 3, 4]
     assert DiscriminatorConfig.for_width(4).m2 == 3
     assert DiscriminatorConfig.for_width(1).m2 == 1
 
@@ -358,7 +354,7 @@ def test_phase_powers_match_cos_sin_series():
                 cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
                 reference = cos_sin_series(cfg)
                 for n in range(1, 7):
-                    if m2 < cfg.min_m2(n):
+                    if m2 < min_signed_ancillas(n):
                         continue
                     w = np.vstack([np.ones(n), -np.ones(n), rng.uniform(-1.0, 1.0, (2, n))])
                     r = FastDiscriminator(cfg, n).label_probs(w)

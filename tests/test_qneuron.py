@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qgansim.phase_estimation import qpe_circuit, register_readout
 from qgansim.qneuron import (
     ActivationFn,
     WeightVector,
-    activation_stage,
     activation_table,
     build_u_wm,
     encode_input,
@@ -20,6 +20,7 @@ from qgansim.qneuron import (
     signed_decode,
     truncated,
 )
+from qgansim.statevec import basis_ket, run_circuit, tensor
 
 
 def closed_form_register(t, m):
@@ -117,8 +118,6 @@ def test_qip_signed_rejects_narrow_register():
 def test_u_wm_phase_profile(m):
     # The block must tag ancilla value j with phase j * t / 2^m; check the
     # accumulated diagonal directly on a 1-feature, 1-digit instance.
-    from qgansim.statevec import basis_ket, run_circuit, tensor
-
     w = WeightVector(np.array([0.8]))
     circ = build_u_wm(w, m, 1)
     for j in range(2**m):
@@ -154,10 +153,7 @@ def test_activation_fn_names():
 
 def test_build_activation_writes_representable_values_exactly():
     fn = scaled_identity_activation(2)  # sigma(x) = x / 4, register exact
-    circ = activation_stage(activation_table(fn, np.arange(4)), 2)
-    from qgansim.phase_estimation import register_readout
-    from qgansim.statevec import basis_ket
-
+    circ = qpe_circuit(activation_table(fn, np.arange(4)), 2)
     for x in range(4):
         dist = register_readout(circ, 2, basis_ket(2, x), 2)
         assert abs(dist[x] - 1.0) < 1e-10
@@ -167,7 +163,7 @@ def test_build_activation_rejects_out_of_range_values():
     for value in (1.0, -0.25):
         fn = ActivationFn("custom", lambda t: value)
         with pytest.raises(ValueError):
-            activation_stage(activation_table(fn, np.arange(2)), 1)
+            qpe_circuit(activation_table(fn, np.arange(2)), 1)
 
 
 def test_neuron_forward_identity_concentrates_on_scaled_product():
@@ -206,5 +202,5 @@ def test_signed_decode_takes_arrays_and_scalars_alike():
 
 def test_build_activation_broadcasts_a_scalar_activation():
     sigma = activation_table(ActivationFn("custom", lambda t: 0.25), np.arange(2))
-    circ = activation_stage(sigma, 2)
+    circ = qpe_circuit(sigma, 2)
     assert circ.num_qubits == 3

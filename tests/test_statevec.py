@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qgansim import _kernels, statevec
-from qgansim.fourier import qft_circuit
+from qgansim.fourier import qft_circuit, qft_matrix
 from qgansim.statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -396,7 +396,7 @@ def test_tensor_puts_left_factor_most_significant():
 def test_tensor_refuses_wide_products_before_allocating(left, right):
     # np.kron of two 20-qubit kets would need 16 TiB; 22 qubits, 64 MiB.
     a, b = basis_ket(left, 0), basis_ket(right, 0)
-    message = rf"^num_qubits must be in \[1, {MAX_QUBITS}\], got {left + right}$"
+    message = rf"^num_qubits = {left + right} is not an integer in \[1, {MAX_QUBITS}\]$"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
@@ -405,6 +405,25 @@ def test_tensor_refuses_wide_products_before_allocating(left, right):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+_WIDTH_CONSTRUCTORS = {
+    "StateVector": lambda n: StateVector(n, [1.0, 0.0, 0.0, 0.0]),
+    "QuantumCircuit": lambda n: QuantumCircuit(n, ()),
+    "basis_ket": lambda n: basis_ket(n, 1),
+    "qft_matrix": qft_matrix,
+    "qft_circuit": qft_circuit,
+}
+
+
+@pytest.mark.parametrize("build", sorted(_WIDTH_CONSTRUCTORS))
+@pytest.mark.parametrize("n", [2.0, True, 0, MAX_QUBITS + 1])
+def test_constructors_refuse_widths_that_are_no_integer_in_range(build, n):
+    # A float or bool width is refused like an out-of-range one, not kept
+    # as the width of a state or circuit, nor left to fail as a TypeError.
+    # tensor's check is tested on the wide products above.
+    with pytest.raises(ValueError, match=f"^num_qubits = {n!r} "):
+        _WIDTH_CONSTRUCTORS[build](n)
 
 
 def test_inner_conjugates_left_argument():

@@ -22,7 +22,6 @@ from qgansim.svi import (
     implied_vol,
     svi_derivatives,
     target_state,
-    total_variance,
 )
 
 
@@ -55,30 +54,33 @@ def test_discretize_refuses_zero_total_variance_naming_k():
 def test_total_variance_closed_form():
     p = DEFAULT_SMILE_PARAMS
     # at k = m the root term collapses to xi
-    assert abs(total_variance(p, p.m) - (p.a + p.b * p.xi)) < 1e-15
-    assert abs(total_variance(p, 0.0) - 0.04718354500983758) < 1e-15
+    assert abs(svi_derivatives(p, p.m)[0] - (p.a + p.b * p.xi)) < 1e-15
+    assert abs(svi_derivatives(p, 0.0)[0] - 0.04718354500983758) < 1e-15
     flat = SviParams(a=0.04, b=0.0, rho=0.0, m=0.0, xi=0.1)
-    assert total_variance(flat, -0.7) == 0.04
+    assert svi_derivatives(flat, -0.7)[0] == 0.04
 
 
 def test_total_variance_must_be_positive():
     p = SviParams(a=0.0, b=0.0, rho=0.0, m=0.0, xi=0.1)
-    with pytest.raises(ValueError):
-        total_variance(p, 0.3)
+    with pytest.raises(ValueError, match=r"^total variance 0\.0 is not positive at k = 0\.3$"):
+        svi_derivatives(p, 0.3)
+    # Over an array, the refusal names the first failing k.
+    flat = SviParams(a=0.0, b=1.0, rho=1.0, m=0.0, xi=1e-9)
+    with pytest.raises(ValueError, match=r"at k = -0\.5$"):
+        svi_derivatives(flat, [0.5, -0.5, -1.0])
 
 
 def test_svi_derivatives_match_finite_differences():
     p = DEFAULT_SMILE_PARAMS
     h = 1e-6
-    for k in (-0.6, -0.1, 0.2, 0.45):
-        w, wp, wpp = svi_derivatives(p, k)
-        assert abs(w - total_variance(p, k)) < 1e-14
-        fd1 = (total_variance(p, k + h) - total_variance(p, k - h)) / (2.0 * h)
-        fd2 = (
-            total_variance(p, k + h) - 2.0 * w + total_variance(p, k - h)
-        ) / h**2
-        assert abs(wp - fd1) < 1e-7
-        assert abs(wpp - fd2) < 1e-4
+    ks = np.array([-0.6, -0.1, 0.2, 0.45])
+    w, wp, wpp = svi_derivatives(p, ks)
+    below, at, above = (svi_derivatives(p, ks + dk)[0] for dk in (-h, 0.0, h))
+    for j, k in enumerate(ks):
+        assert tuple(svi_derivatives(p, k)) == (w[j], wp[j], wpp[j])
+    assert np.array_equal(w, at)
+    assert np.max(np.abs(wp - (above - below) / (2.0 * h))) < 1e-7
+    assert np.max(np.abs(wpp - (above - 2.0 * w + below) / h**2)) < 1e-4
 
 
 def test_bs_price_values_and_limits():
