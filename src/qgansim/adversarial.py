@@ -34,11 +34,18 @@ _MAX_SHOTS = 2**63 - 1
 # Memory the per-epoch trace arrays of one train() call may take.
 _TRACE_BUDGET_BYTES = 2**30
 
-# Probe entries one epoch may compute: each ascent step labels the 2n
-# weight probes and each descent step generates one state per shift-rule
-# probe, 2^n entries each. The defaults need 102 * 2^4 at n = 4 and about
-# 2^29.1 at n = MAX_QUBITS.
-_EPOCH_BUDGET = 2**30
+# Modelled run cost in integer nanoseconds (no float overflow): a fixed
+# cost per ascent or descent step, plus one per probe entry (each ascent
+# step labels 2n weight probes, each descent step generates one state per
+# shift-rule probe, 2^n entries each). Fitted to train() timings on a
+# 2-core x86 machine, numpy 2.4 on one BLAS thread, within a factor of
+# 0.6-1.3 from n = 1 to 12: a step took 20-28 us at n = 1 and 2 (2e4
+# ascent steps in 0.42 s), an entry 44-86 ns at n = 8 to 12 (an n = 12
+# epoch of the defaults in 83 ms). A run modelled past half an hour is
+# refused; the defaults pass up to n = 17.
+_STEP_NS = 25_000
+_ENTRY_NS = 60
+_RUN_BUDGET_NS = 1800 * 10**9
 
 # Bounds under which no training step overflows: a weight gradient is at
 # most 1 / fd_step, and a descent step moves an (unwrapped) angle by at
@@ -71,10 +78,9 @@ class ScoreValue:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the alternating gradient game (shots = 0: exact).
+    """Hyperparameters of the alternating gradient game (shots = 0: exact)."""
 
-    fd_step in [2^-52, 1] is the step of every weight gradient (see grad_w).
-    """
+    fd_step = 0.5  # the step of every weight gradient (see grad_w); not a field
 
     n_qubits: int = 4
     epochs: int = 300
@@ -84,7 +90,6 @@ class TrainConfig:
     lr_g: float = 0.05
     shots: int = 0
     seed: int = 0
-    fd_step: float = 0.5
 
     def __post_init__(self):
         check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
@@ -97,7 +102,6 @@ class TrainConfig:
             check_real(key, value)
             if not 0.0 < value <= _MAX_RATE:
                 raise ValueError(f"{key} = {value!r} is outside (0, {_MAX_RATE:g}]")
-        _check_fd_step(self.fd_step)
         n = self.n_qubits
         trace_bytes = self.epochs * (num_params(n) + n + 4) * 8
         if trace_bytes > _TRACE_BUDGET_BYTES:
@@ -105,14 +109,16 @@ class TrainConfig:
                 f"epochs = {self.epochs!r} needs {trace_bytes} bytes of trace at "
                 f"n_qubits = {n}, over the {_TRACE_BUDGET_BYTES}-byte budget"
             )
-        weight_probes = self.n_d * 2 * n
-        theta_probes = self.n_g * len(_shift_rule(n)[0])
-        work = (weight_probes + theta_probes) * 2**n
-        if work > _EPOCH_BUDGET:
-            key = "n_d" if weight_probes >= theta_probes else "n_g"
+        ascent = self.n_d * (_STEP_NS + _ENTRY_NS * 2 * n * 2**n)
+        descent = self.n_g * (_STEP_NS + _ENTRY_NS * len(_shift_rule(n)[0]) * 2**n)
+        cost = self.epochs * (ascent + descent)
+        if cost > _RUN_BUDGET_NS:
+            # The larger step term, or epochs if they outnumber its steps.
+            steps = "n_d" if ascent >= descent else "n_g"
+            key = "epochs" if self.epochs >= getattr(self, steps) else steps
             raise ValueError(
-                f"{key} = {getattr(self, key)!r} needs {work} probe entries per epoch at "
-                f"n_qubits = {n}, over the budget of {_EPOCH_BUDGET}"
+                f"{key} = {getattr(self, key)!r} makes a run of about {cost // 10**9} s "
+                f"at n_qubits = {n}, over the {_RUN_BUDGET_NS // 10**9}-s budget"
             )
 
 
@@ -312,6 +318,8 @@ def minmax_gap(
     grid = np.asarray(w_grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[1] != target.num_qubits:
         raise ValueError(f"w_grid must have shape (k, {target.num_qubits})")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("w_grid must hold finite weights")
     n = target.num_qubits
     r = FastDiscriminator(cfg, n).label_probs(grid)
     delta = np.abs(target.amps) ** 2 - _gen_amps(n, theta.thetas) ** 2
@@ -321,19 +329,23 @@ def minmax_gap(
 def training_discriminator(n: int) -> DiscriminatorConfig:
     """Discriminator configuration train() falls back to.
 
-    Any activation that sends a zero inner product to an exactly
-    representable register value (the sigmoid midpoint does, for every
-    register size) labels the all-zero-bits basis state Real with
-    probability 1 under every weight vector; once the generator
-    overloads that state the game has no ascent direction left and
-    freezes at w = 0. The mid-cell threshold activation dodges the
-    representable values, so the label probability crosses one half at
-    t = 0 with nonzero slope and the weight gradient stays alive.
+    The all-zero-bits state has t = 0 under every w. An activation whose
+    sigma(0) is a register value k / 2^m1 (the sigmoid's 1/2, at any m1) is
+    estimated exactly there, so every w labels that state Real; once the
+    generator overloads it no ascent direction is left, and train() refuses
+    such an activation. The mid-cell threshold activation dodges the register
+    values: the label probability crosses 1/2 at t = 0 with nonzero slope.
     """
     m2 = DiscriminatorConfig.for_width(n).m2 + 1
-    return DiscriminatorConfig(
-        m1=2, m2=m2, activation=threshold_activation(2, 2.0**m2)
-    )
+    return DiscriminatorConfig(m1=2, m2=m2, activation=threshold_activation(2, 2.0**m2))
+
+
+def check_trainable(disc: DiscriminatorConfig, n: int) -> None:
+    """Raise if sigma(0) * 2^m1 is an integer (see training_discriminator)."""
+    zero = float(disc.check_width(n)[0])  # register outcome 0 decodes to t = 0
+    if (zero * 2**disc.m1).is_integer():
+        raise ValueError(f"activation = {disc.activation.name} maps 0 to the register value "
+                         f"{zero!r}, so every w labels the all-zero-bits state Real; use threshold")
 
 
 def _initial_thetas(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -362,7 +374,8 @@ def train(
 ) -> TrainTrace:
     """Alternating SGD: n_d ascent steps on w, then n_g descent on theta.
 
-    Weights are clipped back into [-1, 1]^n after every ascent step.
+    A discriminator failing check_trainable (a sigmoid one) is refused
+    first. Weights are clipped back into [-1, 1]^n after every ascent step.
     Random draws (initialization, restarts, and labelling rounds when
     shots > 0) come from one seeded generator in a fixed order, so equal
     seeds give bitwise-equal traces.
@@ -394,7 +407,9 @@ def train(
     n = cfg.n_qubits
     if target.n_qubits != n:
         raise ValueError(f"target has {target.n_qubits} qubits, config says {n}")
-    fast = FastDiscriminator(disc if disc is not None else training_discriminator(n), n)
+    disc = disc if disc is not None else training_discriminator(n)
+    check_trainable(disc, n)
+    fast = FastDiscriminator(disc, n)
     rng = np.random.default_rng(cfg.seed)
     thetas = _initial_thetas(n, rng)
     wvec = rng.uniform(-1.0, 1.0, n)

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adversarial import TrainConfig, train, training_discriminator
+from .adversarial import TrainConfig, check_trainable, train, training_discriminator
 from .discriminator import DiscriminatorConfig, threshold_activation
 from .fourier import qft
 from .generator import generate_amps
@@ -30,7 +30,7 @@ from .qneuron import (
     scaled_identity_activation,
     sigmoid_activation,
 )
-from .statevec import MAX_QUBITS, basis_ket
+from .statevec import MAX_QUBITS, basis_ket, check_int
 from .svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, SviParams, density, discretize
 
 # Every setting is checked and defaulted by its library type; the CLI only
@@ -94,14 +94,12 @@ def _activation(name: str, m1: int, m2: int):
         return threshold_activation(m1, 2.0**m2)
     if name == "identity":
         return scaled_identity_activation(m2)
-    raise ValueError(f"activation = {name!r} is not sigmoid, threshold or identity")
+    raise ValueError(f"activation = {name!r} is unknown; train takes only threshold")
 
 
 def _discriminator(raw: dict, n: int) -> DiscriminatorConfig:
-    # Missing keys fall back to train()'s own discriminator, whose
-    # activation is the threshold one; its width is checked like a
-    # configured one. The width check also rejects an activation that is
-    # no label probability, such as the identity on negative products.
+    # Missing keys fall back to train()'s own discriminator. What train()
+    # refuses, every activation but the threshold one, is refused here.
     section = raw.get("discriminator", {})
     default = training_discriminator(n)
     try:
@@ -109,7 +107,7 @@ def _discriminator(raw: dict, n: int) -> DiscriminatorConfig:
         cfg = DiscriminatorConfig(m1=m1, m2=m2)
         name = section.get("activation", "threshold")
         cfg = replace(cfg, activation=_activation(name, cfg.m1, cfg.m2))
-        cfg.check_width(n)
+        check_trainable(cfg, n)
     except ValueError as exc:
         raise click.UsageError(_qualified(exc, "discriminator"))
     return cfg
@@ -187,7 +185,13 @@ def main() -> None:
 def target(config_path: str | None, out_dir: str) -> None:
     """Write the discretized target (JSON) and density curve (CSV)."""
     raw = _load_config(config_path)
-    params, dist = _smile(raw, _train_config(raw, None).n_qubits)
+    # Only n_qubits: the run-length keys, and their cost bound, are train's.
+    n = raw.get("n_qubits", TrainConfig.n_qubits)
+    try:
+        check_int("n_qubits", n, 1, MAX_QUBITS)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    params, dist = _smile(raw, n)
 
     out = _out(out_dir)
     _dump_json(

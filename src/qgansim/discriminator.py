@@ -26,16 +26,12 @@ DiscriminatorWeights = WeightVector
 
 
 def threshold_activation(m1: int, bound: float) -> ActivationFn:
-    """Affine activation centred between two activation registers.
+    """Affine activation with sigma(0) mid-cell below the Real/Fake boundary.
 
-    Values of 1/2 (or any cell boundary) are exactly representable on
-    the activation register, so the estimation leaves them there with
-    probability 1 and the label probability develops a flat spot; a zero
-    inner product would then always be labelled Real. Centring sigma(0)
-    on the midpoint of the cell just below the Real/Fake boundary makes
-    the label probability cross one half at t = 0 with the steepest
-    slope the register resolves. The slope keeps sigma within [0, 1)
-    over decoded products in [-bound, bound).
+    Off the register values, sigma(0) leaves the label probability
+    crossing one half at t = 0 with the steepest slope the register
+    resolves (see adversarial.training_discriminator). The slope keeps
+    sigma within [0, 1) over decoded products in [-bound, bound).
     """
     if m1 < 1 or bound <= 0.0:
         raise ValueError("need m1 >= 1 and positive bound")

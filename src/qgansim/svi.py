@@ -61,6 +61,7 @@ class DiscreteDistribution:
     truncated_mass: float | None = None
 
     def __post_init__(self):
+        check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
         arr = np.asarray(self.masses, dtype=np.float64)
         if arr.shape != (2**self.n_qubits,):
             raise ValueError(

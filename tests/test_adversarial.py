@@ -4,7 +4,7 @@ weight gradient's central-difference probes, the sign-aligned initial draw, and 
 train() contract (determinism, shapes, validation, restarts)."""
 
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,8 +29,10 @@ from qgansim.discriminator import (
     DiscriminatorConfig,
     DiscriminatorWeights,
     FastDiscriminator,
+    threshold_activation,
 )
 from qgansim.generator import GeneratorParams, generate_amps, generate_state, num_params
+from qgansim.qneuron import ActivationFn, sigmoid_activation
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 from qgansim.svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, discretize, target_state
 
@@ -186,6 +188,43 @@ def test_minmax_gap_bounded_and_grid_shape_checked():
     assert gap <= 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum()) + 1e-10
     with pytest.raises(ValueError):
         minmax_gap(theta, target, cfg, rng.uniform(-1, 1, (4, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        grid[2, 1] = bad
+        with pytest.raises(ValueError, match="w_grid"):
+            minmax_gap(theta, target, cfg, grid)
+
+
+_SMALL_TARGET = DiscreteDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
+
+
+@pytest.mark.parametrize("m1", [1, 2, 3])
+def test_train_refuses_the_sigmoid_before_any_work(m1, monkeypatch):
+    # sigma(0) = 1/2 is a register value at every m1.
+    monkeypatch.setattr(adversarial, "FastDiscriminator", None)
+    disc = DiscriminatorConfig(m1=m1, m2=3, activation=sigmoid_activation())
+    with pytest.raises(ValueError, match="^activation = sigmoid maps 0 to the register value 0.5"):
+        train(TrainConfig(n_qubits=2, epochs=1), _SMALL_TARGET, disc)
+
+
+@pytest.mark.parametrize("m1, k", [(1, 1), (2, 1), (2, 3), (3, 1), (3, 6)])
+def test_train_refuses_any_activation_with_a_register_value_at_zero(m1, k):
+    # sigma(0) = k / 2^m1; the slope keeps sigma in [0, 1) on [-2^3, 2^3).
+    act = ActivationFn("custom", lambda t: k / 2**m1 + 2.0 ** -(m1 + 5) * t)
+    disc = DiscriminatorConfig(m1=m1, m2=3, activation=act)
+    message = f"^activation = custom maps 0 to the register value {k / 2**m1!r}"
+    with pytest.raises(ValueError, match=message):
+        adversarial.check_trainable(disc, 2)
+    with pytest.raises(ValueError, match="^activation = custom "):
+        train(TrainConfig(n_qubits=2, epochs=1), _SMALL_TARGET, disc)
+
+
+@pytest.mark.parametrize("m1", [1, 2, 3])
+def test_threshold_activation_trains_at_every_small_m1(m1):
+    disc = DiscriminatorConfig(m1=m1, m2=3, activation=threshold_activation(m1, 2.0**3))
+    adversarial.check_trainable(disc, 2)
+    cfg = TrainConfig(n_qubits=2, epochs=100, lr_d=1.0, lr_g=1.0, seed=0)
+    trace = train(cfg, _SMALL_TARGET, disc)
+    assert trace.fidelities[-1] > max(trace.fidelities[0], 0.95)
 
 
 def test_training_discriminator_shape():
@@ -205,7 +244,7 @@ def test_train_config_validation():
         TrainConfig(n_qubits=2, epochs=1, lr_d=0.0)
     with pytest.raises(ValueError):
         TrainConfig(n_qubits=2, epochs=1, shots=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="fd_step"):
         TrainConfig(n_qubits=2, epochs=1, fd_step=0.0)
 
 
@@ -347,7 +386,8 @@ def test_weight_gradient_matches_finite_difference_formula():
 )
 def test_train_config_names_the_rejected_key(key, value):
     kwargs = {"n_qubits": 2, "epochs": 1, key: value}
-    with pytest.raises(ValueError, match=key):
+    # fd_step is a class constant, not a field: every value is refused.
+    with pytest.raises(TypeError if key == "fd_step" else ValueError, match=key):
         TrainConfig(**kwargs)
 
 
@@ -375,7 +415,9 @@ def test_config_types_reject_wrong_types_by_key(make, key):
         make()
 
 
-def test_train_config_bounds_the_trace_and_the_shots():
+def test_train_config_bounds_the_trace_and_the_shots(monkeypatch):
+    # The trace bound alone: the run-cost bound would refuse this long a run.
+    monkeypatch.setattr(adversarial, "_RUN_BUDGET_NS", float("inf"))
     per_epoch = (num_params(1) + 1 + 4) * 8
     most = adversarial._TRACE_BUDGET_BYTES // per_epoch
     TrainConfig(n_qubits=1, epochs=most, shots=2**63 - 1)
@@ -384,20 +426,47 @@ def test_train_config_bounds_the_trace_and_the_shots():
 
 
 def test_train_config_bounds_the_work_per_epoch():
-    # The defaults are accepted at every width; past the budget the
-    # larger of the two terms names its key.
-    for n in range(1, MAX_QUBITS + 1):
+    # The modelled run cost: the defaults pass up to n = 17, and past the
+    # budget the larger step term names its key, or epochs if they
+    # outnumber its steps.
+    for n in range(1, 18):
         TrainConfig(n_qubits=n)
-    theta_probes = len(adversarial._shift_rule(4)[0])
-    most = (adversarial._EPOCH_BUDGET // 2**4 - theta_probes) // (2 * 4)
-    TrainConfig(n_qubits=4, epochs=1, n_d=most)
-    with pytest.raises(ValueError, match="^n_d = "):
-        TrainConfig(n_qubits=4, epochs=1, n_d=most + 1)
+    with pytest.raises(ValueError, match="^epochs = 300 makes a run of about 2331 s"):
+        TrainConfig(n_qubits=18)
+    with pytest.raises(ValueError, match="^epochs = 1000000 "):
+        TrainConfig(n_qubits=8, epochs=10**6)
     with pytest.raises(ValueError, match="^n_g = "):
-        TrainConfig(n_qubits=4, epochs=1, n_g=adversarial._EPOCH_BUDGET // theta_probes)
+        TrainConfig(n_qubits=4, epochs=2, n_d=3, n_g=10**8)
+    # Integer nanoseconds: a huge count is refused, not a float overflow.
+    with pytest.raises(ValueError, match="^n_d = "):
+        TrainConfig(n_qubits=1, epochs=1, n_d=10**400)
+    # 2^27 ascent steps at n = 1 took about an hour before this bound.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^n_d = 134217728 makes a run of about 3387 s"):
+        TrainConfig(n_qubits=1, epochs=1, n_d=134217728)
+    assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("kwargs", [{"lr_d": 1e6, "fd_step": 2.0**-52}, {"lr_g": 1e6}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # The README config and criteria 12 and 14.
+        {"n_qubits": 4, "epochs": 2000, "lr_d": 1.0, "lr_g": 0.5, "shots": 1000},
+        # Criteria 11 and 13, and the sampled run in CI.
+        {"n_qubits": 2, "epochs": 300, "lr_d": 1.0, "lr_g": 1.0, "shots": 10_000},
+        # The benchmark's smile runs.
+        {"n_qubits": 4, "epochs": 100, "lr_d": 1.0, "lr_g": 0.5},
+        {"n_qubits": 6, "epochs": 40, "lr_d": 1.0, "lr_g": 0.5, "shots": 1000},
+        # The widest run train()'s default discriminator fits.
+        {"n_qubits": 12},
+    ],
+)
+def test_shipped_configs_are_well_inside_the_run_budget(kwargs):
+    cfg = TrainConfig(**kwargs)
+    TrainConfig(**{**kwargs, "epochs": 10 * cfg.epochs})
+
+
+@pytest.mark.parametrize("kwargs", [{"lr_d": 1e6}, {"lr_g": 1e6}])
 def test_train_at_the_largest_steps_stays_finite(kwargs):
     # The suite turns a RuntimeWarning (an overflow, say) into an error.
     trace = train(TrainConfig(n_qubits=3, epochs=3, **kwargs), discretize(DEFAULT_SMILE_PARAMS, 3))
@@ -407,8 +476,10 @@ def test_train_at_the_largest_steps_stays_finite(kwargs):
 def test_train_config_defaults():
     cfg = TrainConfig()
     assert (cfg.n_qubits, cfg.epochs, cfg.shots, cfg.seed) == (4, 300, 0, 0)
-    assert cfg.fd_step == 0.5
-    TrainConfig(fd_step=1.0)
+    assert cfg.fd_step == TrainConfig.fd_step == 0.5
+    assert len(fields(TrainConfig)) == 8
+    with pytest.raises(TypeError, match="fd_step"):
+        TrainConfig(fd_step=0.5)
 
 
 def test_train_at_eight_qubits_starts_sign_aligned():

@@ -53,6 +53,14 @@ def test_target_writes_artifacts(runner, tmp_path):
     assert all(v >= 0.0 for v in vals)
 
 
+def test_target_leaves_the_run_length_to_train(runner, tmp_path):
+    # train refuses this run as too long; its target is still written.
+    cfg = write_config(tmp_path / "cfg.json", {"n_qubits": 2, "epochs": 1, "n_d": 134217728})
+    result = runner.invoke(main, ["target", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, combined(result)
+    assert len(json.loads((tmp_path / "out" / "target.json").read_text())["masses"]) == 4
+
+
 def test_target_is_byte_deterministic(runner, tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"n_qubits": 2})
     for sub in ("a", "b"):
@@ -406,6 +414,9 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
     assert name in combined(result)
 
 
+_SIGMOID_AT_0 = "discriminator.activation = sigmoid maps 0 to the register value 0.5"
+
+
 @pytest.mark.parametrize(
     "command, text, key, code",
     [
@@ -437,6 +448,13 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
         ("train", '{"n_qubits": 2, "fd_step": 8}', "fd_step", 2),
         ("train", '{"n_qubits": 4, "epochs": 1, "n_d": 1000000000000}', "n_d", 2),
         ("train", '{"n_qubits": 4, "epochs": 1, "n_g": 1000000000000}', "n_g", 2),
+        # About an hour of ascent steps.
+        ("train", '{"n_qubits": 1, "epochs": 1, "n_d": 134217728}', "n_d = 134217728 makes a run", 2),
+        ("train", '{"n_qubits": 2, "fd_step": 0.5}', "unknown config keys: fd_step", 2),
+        # sigma(0) = 1/2 is a value of the activation register at every m1.
+        ("train", '{"discriminator": {"m1": 1, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
+        ("train", '{"discriminator": {"m1": 2, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
+        ("train", '{"discriminator": {"m1": 3, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
         # The sigmoid rounds to 1.0 from decoded product 38 up.
         (
             "train",
@@ -604,7 +622,6 @@ _TOP_VALUES = {
     "lr_g": (st.floats(1e-3, 2.0), [1e308, 5e-324, 2**63], [0, -0.5, -1e308, *_NON_FINITE]),
     "shots": (st.integers(0, 2000), [1, 2**62, 2**63 - 1], [-1, 1.5, 2**63]),
     "seed": (st.integers(0, 2**32), [2**64, 10**30], [-1, 1.5]),
-    "fd_step": (st.floats(0.01, 1.0), [5e-324, 1.0], [0, -0.5, 1.5, *_NON_FINITE]),
 }
 _SVI_VALUES = {
     "a": (st.floats(0.01, 0.06), [0.0, 1e308, 5e-324], [-0.1, *_NON_FINITE]),
@@ -617,11 +634,11 @@ _SVI_VALUES = {
 _DISCRIMINATOR_VALUES = {
     "m1": (st.integers(1, 3), [], [0, 2.0, 25]),
     "m2": (st.integers(3, 5), [1, 2, 6], [0, 25, 1100]),
-    "activation": (st.sampled_from(["sigmoid", "threshold"]), ["identity"], ["relu", 5, ""]),
+    # train() takes only the threshold activation.
+    "activation": (st.just("threshold"), [], ["sigmoid", "identity", "relu", 5, ""]),
 }
-# Refusals that valid values earn together: an m2 too narrow for n inputs,
-# or an activation outside [0, 1) on the register's products.
-_JOINT_REFUSALS = {"discriminator.m2 = ", "discriminator.activation = "}
+# Refusals that valid values earn together: an m2 too narrow for n inputs.
+_JOINT_REFUSALS = {"discriminator.m2 = "}
 
 
 def _section(draw, names, values, prefix):
@@ -640,7 +657,7 @@ def _section(draw, names, values, prefix):
         else:
             section[key] = draw(good)
     if not draw(st.integers(0, 14)):
-        extra = draw(st.sampled_from(["out_dir", "lr", "", "svi ", "m3"]))
+        extra = draw(st.sampled_from(["out_dir", "lr", "", "svi ", "m3", "fd_step"]))
         where = f"config.{prefix[:-1]}" if prefix else "config"
         names["refused"].add(f"unknown {where} keys: ")
         section[extra] = 1

@@ -160,6 +160,13 @@ def test_discrete_distribution_refuses_non_finite_masses(masses):
         DiscreteDistribution(1, np.array(masses))
 
 
+@pytest.mark.parametrize("width", [True, 2.0, 0, 21])
+def test_discrete_distribution_refuses_a_bad_width_by_key(width):
+    # A float width used to pass and then fail in bin_edges.
+    with pytest.raises(ValueError, match="^n_qubits = "):
+        DiscreteDistribution(width, np.ones(4) / 4.0)
+
+
 def test_bin_edges_cover_the_interval():
     dist = DiscreteDistribution(2, np.ones(4) / 4.0)
     assert_allclose(dist.bin_edges(), [-1.0, -0.5, 0.0, 0.5, 1.0])
