@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminator import (
-    DiscriminatorConfig,
-    DiscriminatorWeights,
-    FastDiscriminator,
-    threshold_activation,
-)
+from .discriminator import DiscriminatorConfig, DiscriminatorWeights, FastDiscriminator
 from .generator import GeneratorParams, generate_amps, num_params, param_kinds
 from .metrics import _trace_distance, fidelity, kl_divergence
+from .qneuron import min_signed_ancillas
 from .statevec import MAX_QUBITS, StateVector, check_int, check_real
 from .svi import DiscreteDistribution, target_state
 
@@ -333,11 +329,11 @@ def training_discriminator(n: int) -> DiscriminatorConfig:
     sigma(0) is a register value k / 2^m1 (the sigmoid's 1/2, at any m1) is
     estimated exactly there, so every w labels that state Real; once the
     generator overloads it no ascent direction is left, and train() refuses
-    such an activation. The mid-cell threshold activation dodges the register
-    values: the label probability crosses 1/2 at t = 0 with nonzero slope.
+    such an activation. The mid-cell threshold activation, the config's
+    default, dodges the register values: the label probability crosses 1/2
+    at t = 0 with nonzero slope.
     """
-    m2 = DiscriminatorConfig.for_width(n).m2 + 1
-    return DiscriminatorConfig(m1=2, m2=m2, activation=threshold_activation(2, 2.0**m2))
+    return DiscriminatorConfig(m1=2, m2=min_signed_ancillas(n) + 1)
 
 
 def check_trainable(disc: DiscriminatorConfig, n: int) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adversarial import TrainConfig, check_trainable, train, training_discriminator
+from .adversarial import TrainConfig, train, training_discriminator
 from .discriminator import DiscriminatorConfig, threshold_activation
 from .fourier import qft
 from .generator import generate_amps
@@ -90,24 +90,24 @@ def _smile(raw: dict, n: int) -> tuple[SviParams, DiscreteDistribution]:
 def _activation(name: str, m1: int, m2: int):
     if name == "sigmoid":
         return sigmoid_activation()
-    if name == "threshold":
-        return threshold_activation(m1, 2.0**m2)
     if name == "identity":
         return scaled_identity_activation(m2)
-    raise ValueError(f"activation = {name!r} is unknown; train takes only threshold")
+    return threshold_activation(m1, 2.0**m2)
 
 
 def _discriminator(raw: dict, n: int) -> DiscriminatorConfig:
-    # Missing keys fall back to train()'s own discriminator. What train()
-    # refuses, every activation but the threshold one, is refused here.
+    # Missing keys fall back to train()'s own discriminator. train() takes
+    # only the threshold activation, the config's default; the key stays so
+    # that a config may name it.
     section = raw.get("discriminator", {})
     default = training_discriminator(n)
     try:
         m1, m2 = section.get("m1", default.m1), section.get("m2", default.m2)
         cfg = DiscriminatorConfig(m1=m1, m2=m2)
         name = section.get("activation", "threshold")
-        cfg = replace(cfg, activation=_activation(name, cfg.m1, cfg.m2))
-        check_trainable(cfg, n)
+        if name != "threshold":
+            raise ValueError(f"activation = {name} is refused; train takes only threshold")
+        cfg.check_width(n)
     except ValueError as exc:
         raise click.UsageError(_qualified(exc, "discriminator"))
     return cfg

@@ -13,13 +13,13 @@ Measuring the most significant activation qubit as |1> is the label
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .phase_estimation import register_readout
 from .qneuron import ActivationFn, WeightVector, activation_table, check_neuron_width
-from .qneuron import min_signed_ancillas, neuron_circuit, signed_decode, sigmoid_activation
+from .qneuron import min_signed_ancillas, neuron_circuit, signed_decode
 from .statevec import QuantumCircuit, StateVector
 
 DiscriminatorWeights = WeightVector
@@ -37,20 +37,26 @@ def threshold_activation(m1: int, bound: float) -> ActivationFn:
         raise ValueError("need m1 >= 1 and positive bound")
     offset = 0.5 - 2.0 ** -(m1 + 1)
     slope = offset / bound
-    return ActivationFn("custom", lambda t: offset + slope * t)
+    return ActivationFn("threshold", lambda t: offset + slope * t)
 
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    """Ancilla budget and activation of the perceptron."""
+    """Ancilla budget and activation of the perceptron.
+
+    The activation defaults to the threshold activation of these registers,
+    threshold_activation(m1, 2^m2), the one train() takes.
+    """
 
     m1: int = 1
     m2: int = 1
-    activation: ActivationFn = field(default_factory=sigmoid_activation)
+    activation: ActivationFn | None = None
 
     def __post_init__(self):
         # At least one data qubit must fit beside the two registers.
         check_neuron_width(self.m1, self.m2, 1, 1)
+        if self.activation is None:
+            object.__setattr__(self, "activation", threshold_activation(self.m1, 2.0**self.m2))
 
     def check_width(self, n: int) -> np.ndarray:
         """Raise unless the perceptron circuit on n data qubits can be built.
@@ -66,11 +72,6 @@ class DiscriminatorConfig:
         check_neuron_width(self.m1, self.m2, n, 1)
         products = signed_decode(np.arange(2**self.m2), self.m2)
         return activation_table(self.activation, products)
-
-    @classmethod
-    def for_width(cls, n: int) -> "DiscriminatorConfig":
-        """Smallest sigmoid perceptron accepting n data qubits."""
-        return cls(m1=1, m2=min_signed_ancillas(n))
 
 
 def build_discriminator(
@@ -119,8 +120,6 @@ class FastDiscriminator:
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
         sigma = cfg.check_width(n)
-        self.cfg = cfg
-        self.n = n
         m1, m2 = cfg.m1, cfg.m2
         # Bit matrix of the data register, most significant bit first:
         # bits[x, j] is bit j of basis state x. The bits enter the phase at

@@ -3,11 +3,10 @@
 The ancilla register (most significant qubits) is prepared with
 Hadamards, each ancilla controls the unitary raised to its bit weight,
 and an inverse QFT turns the accumulated phases into an m-bit estimate.
-estimation_circuit builds that construction for every phase estimation
-in the package, the quantum neuron's two included, and register_readout
-runs each of them and reads its register. Every unitary estimated here
-is diagonal: qpe_circuit takes its eigenphases, for QPE and the neuron's
-activation stage alike.
+Every unitary estimated in the package is diagonal, so qpe_circuit
+builds each phase estimation from its eigenphases: QPE, and the quantum
+neuron's inner product and activation stage. register_readout runs each
+of them and reads its register.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .statevec import (
     hadamard,
     register_distribution,
     run_circuit,
-    shift_circuit,
     tensor,
 )
 
@@ -43,21 +41,6 @@ def size_ancillas(accuracy_bits: int, failure_prob: float) -> int:
     if not 0.0 < failure_prob < 1.0:
         raise ValueError(f"failure_prob = {failure_prob!r} is not in (0, 1)")
     return accuracy_bits + math.ceil(math.log2(2.0 + 1.0 / (2.0 * failure_prob)))
-
-
-def estimation_circuit(width: int, first: int, m: int, kernel_ops) -> QuantumCircuit:
-    """Phase estimation on register qubits first .. first+m-1 of `width`.
-
-    Hadamards on the register, then `kernel_ops`, in which register qubit
-    first+s controls the kernel raised to its bit weight 2^(m-1-s), then
-    the gate-level inverse QFT on the register (Cleve et al.,
-    quant-ph/9708016).
-    """
-    inverse = shift_circuit(inverse_qft_circuit(m), first, width)
-    ops = [CircuitOp(hadamard(), (first + s,)) for s in range(m)]
-    ops.extend(kernel_ops)
-    ops.extend(inverse.ops)
-    return QuantumCircuit(width, tuple(ops))
 
 
 def register_readout(
@@ -82,18 +65,21 @@ def _check_eigenstate(phases, eigenstate: StateVector) -> None:
 def qpe_circuit(phases, ancillas: int) -> QuantumCircuit:
     """Estimation circuit of Diag(e^(2*i*pi*phases)) on an m = `ancillas` register.
 
-    Ancilla s (wire s) controls that diagonal on wires m.. with the phases,
-    reduced mod 1, scaled by its bit weight 2^(m-1-s), so every power is
-    exact and every scaled phase finite.
+    Hadamards on wires 0..m-1; then ancilla s controls that diagonal on
+    wires m.. with the phases, reduced mod 1, scaled by its bit weight
+    2^(m-1-s), so every power is exact and every scaled phase finite; then
+    the gate-level inverse QFT on the register (Cleve et al.,
+    quant-ph/9708016).
     """
     k = diagonal(phases).arity  # refuses non-finite phases and bad lengths
     check_int("ancillas", ancillas, 1, MAX_QUBITS - k)  # before the m powers
     m = ancillas
     reduced = np.remainder(phases, 1.0)
-    kernel = [
+    hadamards = [CircuitOp(hadamard(), (s,)) for s in range(m)]
+    powers = [
         CircuitOp(diagonal(reduced * 2 ** (m - 1 - s)), range(m, m + k), (s,)) for s in range(m)
     ]
-    return estimation_circuit(m + k, 0, m, kernel)
+    return QuantumCircuit(m + k, (*hadamards, *powers, *inverse_qft_circuit(m).ops))
 
 
 def qpe_distribution(phases, eigenstate: StateVector, ancillas: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Quantum neuron primitives: input encoding, phase-encoded inner
 products, and the perceptron circuit with its activation stage.
 
-The inner-product kernel U_wm phase-tags an m-qubit ancilla register so
-that, after Hadamards, the joint state carries e^(2*i*pi*j*t/2^m) on
-ancilla value j, where t = x~ . w is the dot product of the truncated
-input with the weights. An inverse QFT then concentrates the register on
-t. Halving the weights doubles the register's period, which frees the
-upper half of the register to represent negative products in two's
-complement (even values only, so the resolution is 2).
+On data basis state x the inner-product kernel U_wm is the phase
+e^(2*i*pi*t/2^m), where t = x~ . w is the dot product of the truncated
+input with the weights. Its phase estimation on an m-qubit register is
+qpe_circuit of the eigenphases t / 2^m, so after the inverse QFT the
+register concentrates on t. Halving the weights doubles the register's
+period, which frees the upper half of the register to represent negative
+products in two's complement (even values only, so the resolution is 2).
 """
 
 from __future__ import annotations
@@ -18,17 +18,8 @@ from math import ceil, log2
 import numpy as np
 
 from .fourier import encode_fraction
-from .phase_estimation import estimation_circuit, qpe_circuit, register_readout
-from .statevec import (
-    MAX_QUBITS,
-    CircuitOp,
-    QuantumCircuit,
-    StateVector,
-    basis_ket,
-    check_int,
-    diagonal,
-    shift_circuit,
-)
+from .phase_estimation import qpe_circuit, register_readout
+from .statevec import MAX_QUBITS, QuantumCircuit, StateVector, basis_ket, check_int, shift_circuit
 
 
 @dataclass(frozen=True)
@@ -62,8 +53,8 @@ class ActivationFn:
     fn: object
 
     def __post_init__(self):
-        if self.name not in ("sigmoid", "identity", "custom"):
-            raise ValueError("name must be sigmoid, identity, or custom")
+        if self.name not in ("sigmoid", "identity", "threshold", "custom"):
+            raise ValueError("name must be sigmoid, identity, threshold, or custom")
 
 
 def sigmoid_activation() -> ActivationFn:
@@ -110,32 +101,27 @@ def truncated(x, precision: int) -> np.ndarray:
     return np.array([encode_fraction(float(v), precision).value for v in x])
 
 
-def build_u_wm(w: WeightVector, ancillas: int, precision: int) -> QuantumCircuit:
-    """Controlled-phase block tagging ancilla value j with e^(2*i*pi*j*t/2^m).
+def _products(w: WeightVector, ancillas: int, precision: int) -> np.ndarray:
+    """t = x~ . w on every basis state x of the n * precision data qubits.
 
-    For each ancilla l (1-based from the most significant), data component
-    j, and digit k, the ancilla controls the phase w_j / 2^(l+k) on the
-    digit's qubit: the phase w_j / 2^(m+k) raised to the ancilla's bit
-    weight 2^(m-l).
+    The qubits follow encode_input's order: digit k of input j weighs
+    w_j / 2^k. The width of the m = `ancillas` register beside them is
+    checked before the 2^(n * precision) products are.
     """
     check_int("ancillas", ancillas, 1)
     check_int("precision", precision, 1)
-    m = ancillas
     n = w.w.size
-    width = m + n * precision
+    width = ancillas + n * precision
     if width > MAX_QUBITS:
         raise ValueError(
-            f"ancillas = {m} with {n} inputs at precision = {precision} needs "
+            f"ancillas = {ancillas} with {n} inputs at precision = {precision} needs "
             f"{width} qubits, over the {MAX_QUBITS}-qubit circuit limit"
         )
-    ops = []
-    for l in range(1, m + 1):
-        for j in range(n):
-            for k in range(1, precision + 1):
-                data_qubit = m + j * precision + (k - 1)
-                phase = diagonal([0.0, w.w[j] / 2 ** (l + k)])
-                ops.append(CircuitOp(phase, (data_qubit,), (l - 1,)))
-    return QuantumCircuit(width, tuple(ops))
+    t = np.zeros(1)
+    for wj in w.w:
+        for k in range(1, precision + 1):
+            t = np.add.outer(t, [0.0, wj / 2**k]).ravel()
+    return t
 
 
 def qip(x, w: WeightVector, ancillas: int, precision: int):
@@ -146,8 +132,8 @@ def qip(x, w: WeightVector, ancillas: int, precision: int):
     probability tie, and the lowest of them is the estimate. Integer
     products below 2^m are recovered with probability 1.
     """
-    u_wm = build_u_wm(w, ancillas, precision)
-    circuit = estimation_circuit(u_wm.num_qubits, 0, ancillas, u_wm.ops)
+    t = _products(w, ancillas, precision)
+    circuit = qpe_circuit(t / 2**ancillas, ancillas)
     dist = register_readout(circuit, ancillas, encode_input(x, precision), ancillas)
     # argmax of a boolean array is its first True.
     return int(np.argmax(dist >= dist.max() - 1e-12)), dist
@@ -192,9 +178,9 @@ def neuron_circuit(w: WeightVector, sigma: np.ndarray, m1: int, precision: int) 
     `sigma` holds the activations in [0, 1) of the 2^m2 register values.
     """
     m2 = sigma.size.bit_length() - 1
-    u_wm = build_u_wm(w, m2, precision)
-    width = m1 + u_wm.num_qubits
-    product = estimation_circuit(width, m1, m2, shift_circuit(u_wm, m1, width).ops)
+    t = _products(w, m2, precision)
+    width = m1 + m2 + w.w.size * precision
+    product = shift_circuit(qpe_circuit(t / 2**m2, m2), m1, width)
     # The activation stage: sigma[x] is the eigenphase on register value x.
     return QuantumCircuit(width, product.ops + qpe_circuit(sigma, m1).ops)
 

@@ -255,14 +255,8 @@ def _matrix(ops, wires) -> np.ndarray:
 
 
 def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
-    """Apply one gate (with controls) to a state."""
-    if op.max_qubit() >= state.num_qubits:
-        raise ValueError(
-            f"op touches qubit {op.max_qubit()} but state has "
-            f"{state.num_qubits} qubits"
-        )
-    amps = _compose([op], range(state.num_qubits), state.amps.copy())
-    return StateVector(state.num_qubits, amps)
+    """Apply one gate (with controls) to a state: a one-op run_circuit."""
+    return run_circuit(QuantumCircuit(state.num_qubits, (op,)), state)
 
 
 def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:

@@ -26,7 +26,14 @@ from qgansim.generator import (
 )
 from qgansim.metrics import trace_distance_pure
 from qgansim.phase_estimation import qpe_distribution, size_ancillas
-from qgansim.qneuron import WeightVector, qip, qip_signed, truncated
+from qgansim.qneuron import (
+    WeightVector,
+    min_signed_ancillas,
+    qip,
+    qip_signed,
+    sigmoid_activation,
+    truncated,
+)
 from qgansim.statevec import StateVector, basis_ket, run_circuit
 from qgansim.svi import (
     DEFAULT_SMILE_PARAMS,
@@ -176,7 +183,7 @@ def test_criterion_07_score_identity_and_bound():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         cfg = DiscriminatorConfig(
-            m1=int(rng.integers(1, 3)), m2=DiscriminatorConfig.for_width(n).m2
+            m1=int(rng.integers(1, 3)), m2=min_signed_ancillas(n), activation=sigmoid_activation()
         )
         theta = GeneratorParams(rng.uniform(0.0, 2.0 * np.pi, num_params(n)))
         w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
@@ -203,7 +210,7 @@ def test_criterion_08_shift_rule_vs_finite_differences():
     h = 1e-5
     for _ in range(20):
         n = int(rng.integers(1, 4))
-        cfg = DiscriminatorConfig(m1=1, m2=DiscriminatorConfig.for_width(n).m2)
+        cfg = DiscriminatorConfig(m1=1, m2=min_signed_ancillas(n), activation=sigmoid_activation())
         theta = GeneratorParams(rng.uniform(0.0, 2.0 * np.pi, num_params(n)))
         w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
         target = random_pure_state(rng, n)

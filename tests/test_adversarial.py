@@ -29,16 +29,17 @@ from qgansim.discriminator import (
     DiscriminatorConfig,
     DiscriminatorWeights,
     FastDiscriminator,
+    label_real_probability,
     threshold_activation,
 )
 from qgansim.generator import GeneratorParams, generate_amps, generate_state, num_params
-from qgansim.qneuron import ActivationFn, sigmoid_activation
+from qgansim.qneuron import ActivationFn, min_signed_ancillas, sigmoid_activation
 from qgansim.statevec import MAX_QUBITS, StateVector, basis_ket
 from qgansim.svi import DEFAULT_SMILE_PARAMS, DiscreteDistribution, discretize, target_state
 
 
 def random_instance(rng, n, m1=1):
-    cfg = DiscriminatorConfig(m1=m1, m2=DiscriminatorConfig.for_width(n).m2)
+    cfg = DiscriminatorConfig(m1=m1, m2=min_signed_ancillas(n), activation=sigmoid_activation())
     theta = GeneratorParams(rng.uniform(0.0, 2.0 * np.pi, num_params(n)))
     w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -84,7 +85,7 @@ def test_score_zero_at_match():
     from qgansim.svi import target_state
 
     theta = exact_params_2q(target)
-    cfg = DiscriminatorConfig(m1=1, m2=2)
+    cfg = DiscriminatorConfig(m1=1, m2=2, activation=sigmoid_activation())
     for wv in ([0.5, -0.5], [1.0, 1.0], [0.0, 0.7]):
         s = float(score(theta, DiscriminatorWeights(np.array(wv)), target_state(target), cfg))
         assert abs(s) < 1e-12
@@ -227,11 +228,28 @@ def test_threshold_activation_trains_at_every_small_m1(m1):
     assert trace.fidelities[-1] > max(trace.fidelities[0], 0.95)
 
 
+@pytest.mark.parametrize("m1, m2", [(1, 2), (2, 3), (3, 4)])
+def test_a_discriminator_of_registers_alone_is_the_threshold_one_and_trains(m1, m2):
+    default = DiscriminatorConfig(m1=m1, m2=m2)
+    explicit = DiscriminatorConfig(m1=m1, m2=m2, activation=threshold_activation(m1, 2.0**m2))
+    rng = np.random.default_rng(60 + m1)
+    grid = rng.uniform(-1.0, 1.0, (16, 2))
+    r = FastDiscriminator(default, 2).label_probs(grid)
+    assert np.array_equal(r, FastDiscriminator(explicit, 2).label_probs(grid))
+    w = DiscriminatorWeights(grid[0])
+    state = target_state(_SMALL_TARGET)
+    assert label_real_probability(w, default, state) == label_real_probability(w, explicit, state)
+    cfg = TrainConfig(n_qubits=2, epochs=20, seed=m2)
+    got, expected = train(cfg, _SMALL_TARGET, default), train(cfg, _SMALL_TARGET, explicit)
+    assert np.array_equal(got.fidelities, expected.fidelities)
+    assert np.array_equal(got.thetas, expected.thetas)
+
+
 def test_training_discriminator_shape():
     cfg = training_discriminator(2)
     assert cfg.m1 == 2
     assert cfg.m2 == 3
-    assert cfg.activation.name == "custom"
+    assert cfg.activation.name == "threshold"
     assert training_discriminator(4).m2 == 4
 
 

@@ -414,7 +414,7 @@ def test_demo_width_beyond_the_limit_is_a_prompt_usage_error(runner, args, name)
     assert name in combined(result)
 
 
-_SIGMOID_AT_0 = "discriminator.activation = sigmoid maps 0 to the register value 0.5"
+_SIGMOID = "discriminator.activation = sigmoid is refused; train takes only threshold"
 
 
 @pytest.mark.parametrize(
@@ -451,15 +451,15 @@ _SIGMOID_AT_0 = "discriminator.activation = sigmoid maps 0 to the register value
         # About an hour of ascent steps.
         ("train", '{"n_qubits": 1, "epochs": 1, "n_d": 134217728}', "n_d = 134217728 makes a run", 2),
         ("train", '{"n_qubits": 2, "fd_step": 0.5}', "unknown config keys: fd_step", 2),
-        # sigma(0) = 1/2 is a value of the activation register at every m1.
-        ("train", '{"discriminator": {"m1": 1, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
-        ("train", '{"discriminator": {"m1": 2, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
-        ("train", '{"discriminator": {"m1": 3, "activation": "sigmoid"}}', _SIGMOID_AT_0, 2),
-        # The sigmoid rounds to 1.0 from decoded product 38 up.
+        # The sigmoid is refused by name at every m1, and before its table
+        # (which rounds to 1.0 from decoded product 38 up) is built.
+        ("train", '{"discriminator": {"m1": 1, "activation": "sigmoid"}}', _SIGMOID, 2),
+        ("train", '{"discriminator": {"m1": 2, "activation": "sigmoid"}}', _SIGMOID, 2),
+        ("train", '{"discriminator": {"m1": 3, "activation": "sigmoid"}}', _SIGMOID, 2),
         (
             "train",
             '{"n_qubits": 2, "discriminator": {"m2": 6, "activation": "sigmoid"}}',
-            "discriminator.activation = sigmoid maps 38",
+            _SIGMOID,
             2,
         ),
     ],

@@ -31,15 +31,15 @@ def random_state(rng, n):
 def test_config_defaults_and_validation():
     cfg = DiscriminatorConfig()
     assert cfg.m1 == 1 and cfg.m2 == 1
-    assert cfg.activation.name == "sigmoid"
+    # The threshold activation of the config's own registers.
+    assert cfg.activation.name == "threshold"
+    assert cfg.activation.fn(0.0) == threshold_activation(1, 2.0).fn(0.0) == 0.25
     with pytest.raises(ValueError):
         DiscriminatorConfig(m1=0)
 
 
-def test_min_m2_and_for_width():
+def test_min_signed_ancillas():
     assert [min_signed_ancillas(n) for n in (1, 2, 4, 5)] == [1, 2, 3, 4]
-    assert DiscriminatorConfig.for_width(4).m2 == 3
-    assert DiscriminatorConfig.for_width(1).m2 == 1
 
 
 def test_build_rejects_narrow_register():
@@ -94,7 +94,7 @@ def test_circuit_width():
 def test_fast_evaluator_matches_circuit():
     rng = np.random.default_rng(31)
     for n, m1, m2 in [(1, 1, 1), (2, 1, 2), (2, 2, 3), (3, 2, 3)]:
-        cfg = DiscriminatorConfig(m1=m1, m2=m2)
+        cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=sigmoid_activation())
         fast = FastDiscriminator(cfg, n)
         for _ in range(4):
             w = DiscriminatorWeights(rng.uniform(-1.0, 1.0, n))
@@ -124,7 +124,7 @@ def test_fast_evaluator_matches_circuit_with_threshold():
 def test_single_bit_activation_register_law():
     # With one activation qubit and a register-exact product t, the label
     # probability is sin^2(pi sigma(t)); frozen for w = (1, 1) on |11>.
-    cfg = DiscriminatorConfig(m1=1, m2=2)
+    cfg = DiscriminatorConfig(m1=1, m2=2, activation=sigmoid_activation())
     p = label_real_probability(
         DiscriminatorWeights(np.array([1.0, 1.0])), cfg, basis_ket(2, 3)
     )
@@ -148,7 +148,7 @@ def test_label_probability_is_sign_blind():
 def test_povm_linearity_in_input_density():
     # P(Real) = sum_x rho_x |v_x|^2 with rho_x the basis-state labels.
     rng = np.random.default_rng(33)
-    cfg = DiscriminatorConfig(m1=1, m2=2)
+    cfg = DiscriminatorConfig(m1=1, m2=2, activation=sigmoid_activation())
     fast = FastDiscriminator(cfg, 2)
     w = rng.uniform(-1.0, 1.0, 2)
     basis_p = np.array([fast.p_real(w, basis_ket(2, x).amps) for x in range(4)])
@@ -184,7 +184,7 @@ def test_threshold_zero_weights_label_everything_half():
 def test_sigmoid_zero_weights_label_everything_real():
     # The sigmoid midpoint is register-exact, which pins the w = 0 label
     # to Real with probability 1; the trainer works around this.
-    cfg = DiscriminatorConfig(m1=2, m2=3)
+    cfg = DiscriminatorConfig(m1=2, m2=3, activation=sigmoid_activation())
     fast = FastDiscriminator(cfg, 2)
     state = random_state(np.random.default_rng(35), 2)
     assert abs(fast.p_real(np.zeros(2), state.amps) - 1.0) < 1e-12
@@ -213,7 +213,7 @@ def _activations(m1, m2):
 def test_label_probs_match_circuit_on_basis_states():
     rng = np.random.default_rng(36)
     for n in range(1, 6):
-        m2 = DiscriminatorConfig.for_width(n).m2
+        m2 = min_signed_ancillas(n)
         # Every basis state up to n = 3, a sample of them beyond.
         xs = range(2**n) if n <= 3 else rng.choice(2**n, 3, replace=False)
         for m1 in (1, 2, 3):
@@ -244,7 +244,7 @@ def test_weight_probes_match_circuit_at_the_shifted_weights():
     # Every probe w +- s e_j stays in [-1, 1], where the circuit is defined.
     rng = np.random.default_rng(37)
     for n in range(1, 4):
-        m2 = DiscriminatorConfig.for_width(n).m2 + 1
+        m2 = min_signed_ancillas(n) + 1
         for m1, act in ((2, threshold_activation(2, 2.0**m2)), (1, sigmoid_activation())):
             cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=act)
             fast = FastDiscriminator(cfg, n)
@@ -275,7 +275,8 @@ def test_label_probs_take_a_batch_of_weights():
 def test_p_real_is_born_weighted_label_probs():
     rng = np.random.default_rng(39)
     for n, m1 in [(1, 1), (3, 2), (5, 3)]:
-        cfg = DiscriminatorConfig(m1=m1, m2=DiscriminatorConfig.for_width(n).m2)
+        m2 = min_signed_ancillas(n)
+        cfg = DiscriminatorConfig(m1=m1, m2=m2, activation=sigmoid_activation())
         fast = FastDiscriminator(cfg, n)
         w = rng.uniform(-1.0, 1.0, n)
         amps = random_state(rng, n).amps
@@ -306,7 +307,7 @@ def test_p_real_relabels_after_another_or_a_mutated_weight_vector():
 
 
 def test_label_probs_cannot_be_written():
-    fast = FastDiscriminator(DiscriminatorConfig(m1=1, m2=2), 2)
+    fast = FastDiscriminator(DiscriminatorConfig(m1=1, m2=2, activation=sigmoid_activation()), 2)
     r = fast.label_probs(np.array([0.5, -0.25]))
     with pytest.raises(ValueError):
         r[0] = 1.0
@@ -366,7 +367,7 @@ def test_out_of_range_activation_is_rejected_naming_the_product():
     # register (2^18 products) must fail the same way, with no overflow
     # warning from exp on the large negative products.
     for m2, n in ((6, 2), (MAX_QUBITS - 2, 1)):
-        cfg = DiscriminatorConfig(m1=1, m2=m2)
+        cfg = DiscriminatorConfig(m1=1, m2=m2, activation=sigmoid_activation())
         with pytest.raises(ValueError, match=r"^activation = sigmoid maps 38 to 1\.0"):
             FastDiscriminator(cfg, n)
         with pytest.raises(ValueError, match="activation"):

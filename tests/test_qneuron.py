@@ -1,16 +1,19 @@
 """Neuron primitives: encoding, the phase-encoded inner product against
 its closed form, the signed decode, and the activation stage."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qgansim.fourier import qft_circuit
 from qgansim.phase_estimation import qpe_circuit, register_readout
 from qgansim.qneuron import (
     ActivationFn,
     WeightVector,
+    _products,
     activation_table,
-    build_u_wm,
     encode_input,
     neuron_forward,
     qip,
@@ -20,7 +23,7 @@ from qgansim.qneuron import (
     signed_decode,
     truncated,
 )
-from qgansim.statevec import basis_ket, run_circuit, tensor
+from qgansim.statevec import QuantumCircuit, basis_ket, run_circuit, tensor
 
 
 def closed_form_register(t, m):
@@ -116,31 +119,46 @@ def test_qip_signed_rejects_narrow_register():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_u_wm_phase_profile(m):
-    # The block must tag ancilla value j with phase j * t / 2^m; check the
-    # accumulated diagonal directly on a 1-feature, 1-digit instance.
+    # Before its inverse QFT, the inner-product estimation must tag ancilla
+    # value j with phase j * t / 2^m; undo that QFT and check the amplitudes
+    # directly on a 1-feature, 1-digit instance.
     w = WeightVector(np.array([0.8]))
-    circ = build_u_wm(w, m, 1)
+    circ = qpe_circuit(_products(w, m, 1) / 2**m, m)
+    undone = QuantumCircuit(m + 1, circ.ops + qft_circuit(m).ops)
+    out = run_circuit(undone, tensor(basis_ket(m, 0), basis_ket(1, 1)))
     for j in range(2**m):
-        start = tensor(basis_ket(m, j), basis_ket(1, 1))
-        out = run_circuit(circ, start)
-        expect = np.exp(2j * np.pi * j * (0.5 * 0.8) / 2**m)
+        expect = np.exp(2j * np.pi * j * (0.5 * 0.8) / 2**m) / np.sqrt(2**m)
         assert abs(out.amps[2 * j + 1] - expect) < 1e-12
 
 
-@pytest.mark.parametrize("m, n, p", [(1, 1, 1), (3, 2, 2), (5, 3, 1), (12, 2, 3)])
-def test_u_wm_has_one_phase_per_ancilla_input_and_digit(m, n, p):
-    circ = build_u_wm(WeightVector(np.full(n, 0.3)), m, p)
-    assert len(circ.ops) == m * n * p
-
-
 def test_u_wm_validation():
-    with pytest.raises(ValueError):
-        build_u_wm(WeightVector(np.array([0.5])), 0, 1)
-    with pytest.raises(ValueError):
-        build_u_wm(WeightVector(np.array([0.5])), 1, 0)
+    w = WeightVector(np.array([0.5]))
+    with pytest.raises(ValueError, match="^ancillas = 0 "):
+        qip([0.5], w, 0, 1)
+    with pytest.raises(ValueError, match="^precision = 0 "):
+        qip([0.5], w, 1, 0)
     # Refused before any phase is built.
     with pytest.raises(ValueError, match="^ancillas = 60 "):
-        build_u_wm(WeightVector(np.array([0.5])), 60, 1)
+        qip([0.5], w, 60, 1)
+
+
+def test_wide_data_registers_are_refused_before_their_products():
+    # 2^(10^6) products could never be allocated: the width check comes first.
+    w = WeightVector(np.array([0.5, 0.25]))
+    for run, key in (
+        (
+            lambda: qip([0.5, 0.5], w, 3, 10**6),
+            "^ancillas = 3 with 2 inputs at precision = 1000000 ",
+        ),
+        (
+            lambda: neuron_forward([0.5, 0.5], w, sigmoid_activation(), 2, 3, 10**6),
+            "^ancillas m1 = 2 and m2 = 3 with 2 inputs at precision = 1000000 ",
+        ),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=key):
+            run()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_activation_fn_names():
