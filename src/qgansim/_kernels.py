@@ -7,13 +7,14 @@ significant bit of the basis index). A control is applied by fixing its
 axis at 1 with ``slice(1, 2)``, so every selection stays a view of the
 caller's array and nothing is gathered or scattered.
 
-Arguments, in order: the amplitudes, the gate (matrix, diagonal or
-permutation), the target qubits in gate order (``targets[0]`` is the most
+Arguments, in order: the amplitudes, the gate (a matrix or a diagonal's
+entries), the target qubits in gate order (``targets[0]`` is the most
 significant bit of the gate's own basis index), the register width n, and
 the control bitmask ``cmask`` (bit significance n - 1 - c for control
 qubit c).
 
-A dense gate without controls whose targets are a sorted run of wires
+A permutation matrix (X, SWAP) moves slices and multiplies nothing. Any
+other dense gate without controls whose targets are a sorted run of wires
 (every fused block of an RY layer, most QFT blocks) takes the span path:
 the amplitudes, viewed as (2^first, 2^k, cols), are multiplied in place by
 BLAS one cache-sized piece at a time, with no copy of the target axes. A
@@ -72,13 +73,29 @@ def _bits(g, k):
     return tuple((g >> (k - 1 - i)) & 1 for i in range(k))
 
 
+def _permutation(mat):
+    # perm with column j of `mat` equal to e_perm[j], or None. The identity is
+    # left to the product, which turns -0.0 into +0.0 (moving nothing keeps it).
+    if np.count_nonzero(mat) != len(mat):
+        return None
+    cols, rows = np.nonzero(mat.T == 1)  # the 1s, column by column
+    perm, order = rows.tolist(), list(range(len(mat)))
+    if cols.tolist() != order or sorted(perm) != order or perm == order:
+        return None
+    return perm
+
+
 def apply_dense(amps, mat, targets, n, cmask):
     """Apply the 2^k x 2^k matrix `mat` to the k target qubits.
 
-    Uncontrolled targets that are a sorted run of wires take the span path;
-    any other gate moves its target axes to the front of each sub-view and
-    multiplies a copy.
+    A permutation matrix moves slices. Otherwise uncontrolled targets that
+    are a sorted run of wires take the span path; any other gate moves its
+    target axes to the front of each sub-view and multiplies a copy.
     """
+    perm = _permutation(mat)
+    if perm is not None:
+        _move(amps, perm, targets, n, cmask)
+        return
     first, k = targets[0], len(targets)
     if not cmask and list(targets) == list(range(first, first + k)):
         _apply_span(amps, mat, first, n - first - k)
@@ -145,8 +162,8 @@ def apply_diag(amps, diag, targets, n, cmask):
         view[tuple(index)] *= entry
 
 
-def apply_perm(amps, perm, targets, n, cmask):
-    """Move each target basis slice g to slice perm[g], one cycle at a time."""
+def _move(amps, perm, targets, n, cmask):
+    # Move each target basis slice g to slice perm[g], one cycle at a time.
     k = len(targets)
     cycles, seen = [], set()
     for g in range(len(perm)):

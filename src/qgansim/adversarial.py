@@ -340,7 +340,8 @@ def check_trainable(disc: DiscriminatorConfig, n: int) -> None:
     """Raise if sigma(0) * 2^m1 is an integer (see training_discriminator)."""
     zero = float(disc.check_width(n)[0])  # register outcome 0 decodes to t = 0
     if (zero * 2**disc.m1).is_integer():
-        raise ValueError(f"activation = {disc.activation.name} maps 0 to the register value "
+        name = "threshold" if disc.activation is None else disc.activation.name
+        raise ValueError(f"activation = {name} maps 0 to the register value "
                          f"{zero!r}, so every w labels the all-zero-bits state Real; use threshold")
 
 

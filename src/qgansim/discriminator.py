@@ -44,8 +44,10 @@ def threshold_activation(m1: int, bound: float) -> ActivationFn:
 class DiscriminatorConfig:
     """Ancilla budget and activation of the perceptron.
 
-    The activation defaults to the threshold activation of these registers,
-    threshold_activation(m1, 2^m2), the one train() takes.
+    An activation of None, the default, stands for the threshold activation
+    of these registers, threshold_activation(m1, 2^m2), the one train()
+    takes. It is resolved where it is read, so a config copied with
+    dataclasses.replace and other m1 or m2 gets that of its own registers.
     """
 
     m1: int = 1
@@ -55,8 +57,6 @@ class DiscriminatorConfig:
     def __post_init__(self):
         # At least one data qubit must fit beside the two registers.
         check_neuron_width(self.m1, self.m2, 1, 1)
-        if self.activation is None:
-            object.__setattr__(self, "activation", threshold_activation(self.m1, 2.0**self.m2))
 
     def check_width(self, n: int) -> np.ndarray:
         """Raise unless the perceptron circuit on n data qubits can be built.
@@ -71,7 +71,8 @@ class DiscriminatorConfig:
             )
         check_neuron_width(self.m1, self.m2, n, 1)
         products = signed_decode(np.arange(2**self.m2), self.m2)
-        return activation_table(self.activation, products)
+        fn = self.activation or threshold_activation(self.m1, 2.0**self.m2)
+        return activation_table(fn, products)
 
 
 def build_discriminator(

@@ -52,7 +52,7 @@ def register_readout(
 
 
 def _check_eigenstate(phases, eigenstate: StateVector) -> None:
-    entries = diagonal(phases).diag
+    entries = diagonal(phases).entries
     if eigenstate.amps.size != entries.size:
         raise ValueError("eigenstate width does not match the unitary")
     image = entries * eigenstate.amps

@@ -7,6 +7,7 @@ Conventions shared by the whole package:
 * All operations are pure: inputs are never mutated and returned values
   can be shared freely across threads.
 * Width is capped at MAX_QUBITS because amplitudes are stored densely.
+* A gate is one unitary array, its diagonal or its matrix (UnitaryGate).
 """
 
 from __future__ import annotations
@@ -80,48 +81,34 @@ class StateVector:
 
 @dataclass(frozen=True)
 class UnitaryGate:
-    """A unitary on `arity` qubits, held in exactly one of three forms.
+    """A unitary on `arity` qubits: its 2^arity diagonal entries (1-d), each
+    of modulus 1, or its 2^arity x 2^arity matrix (2-d).
 
-    * `matrix`: the dense 2^arity x 2^arity matrix;
-    * `diag`: its 2^arity diagonal entries, each of modulus 1;
-    * `perm`: a reordering of range(2^arity) that sends |j> to |perm[j]>.
-
-    The kernel applies the form the gate holds; circuit_matrix of a
-    one-op circuit gives any gate's dense matrix. Every form is checked
+    The kernel multiplies slices by a diagonal, moves them for a matrix that
+    permutes (X, SWAP) and multiplies by any other matrix. circuit_matrix of
+    a one-op circuit gives any gate's dense matrix. Every gate is checked
     here, the package factories' too.
     """
 
-    arity: int
-    matrix: np.ndarray = field(default=None, repr=False)
-    diag: np.ndarray = field(default=None, repr=False)
-    perm: tuple = None
+    entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        given = [name for name in ("matrix", "diag", "perm") if getattr(self, name) is not None]
-        if len(given) != 1:
-            raise ValueError(f"a gate holds exactly one of matrix, diag and perm, got {given}")
-        dim = 2**self.arity
-        if self.matrix is not None:
-            mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"gate matrix must be {dim}x{dim}, got {mat.shape}")
-            err = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-            # Written so that a NaN error fails too.
-            if not err <= _UNITARY_TOL:
-                raise ValueError(f"matrix is not unitary (max |UU^dag - I| = {err})")
-            object.__setattr__(self, "matrix", mat)
-        elif self.diag is not None:
-            diag = np.ascontiguousarray(self.diag, dtype=np.complex128)
-            if diag.shape != (dim,):
-                raise ValueError(f"gate diagonal must have {dim} entries, got shape {diag.shape}")
-            err = np.max(np.abs(np.abs(diag) - 1.0))
-            if not err <= _UNITARY_TOL:
-                raise ValueError(f"diagonal is not unitary (max ||d| - 1| = {err})")
-            object.__setattr__(self, "diag", diag)
-        else:
-            if len(self.perm) != dim or sorted(self.perm) != list(range(dim)):
-                raise ValueError(f"perm must reorder range({dim}), got {self.perm!r}")
-            object.__setattr__(self, "perm", tuple(int(j) for j in self.perm))
+        arr = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        dim = len(arr)
+        if arr.shape not in ((dim,), (dim, dim)) or dim < 2 or dim & (dim - 1):
+            raise ValueError(f"gate entries must be 2^k values or a 2^k x 2^k matrix, k >= 1; "
+                             f"got shape {arr.shape}")
+        # Off by max ||d| - 1| as a diagonal, max |UU^dag - I| as a matrix.
+        diag = arr.ndim == 1
+        err = np.max(np.abs(np.abs(arr) - 1.0 if diag else arr @ arr.conj().T - np.eye(dim)))
+        # Written so that a NaN error fails too.
+        if not err <= _UNITARY_TOL:
+            raise ValueError(f"{'diagonal' if diag else 'matrix'} is not unitary (max error {err})")
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def arity(self) -> int:
+        return len(self.entries).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,7 @@ def _groups(ops):
     groups, last = [], {}
     for op in ops:
         touched = set(op.targets + op.controls)
-        diag = op.gate.diag is not None
+        diag = op.gate.entries.ndim == 1
         g = max(last.get(q, 0) for q in touched)
         while g < len(groups):
             run, wires, all_diag = groups[g]
@@ -235,14 +222,9 @@ def _compose(ops, wires, amps: np.ndarray) -> np.ndarray:
     n = amps.size.bit_length() - 1
     axis = {q: n - len(wires) + i for i, q in enumerate(wires)}
     for op in ops:
-        gate, targets = op.gate, [axis[q] for q in op.targets]
-        cmask = _cmask([axis[c] for c in op.controls], n)
-        if gate.diag is not None:
-            _kernels.apply_diag(amps, gate.diag, targets, n, cmask)
-        elif gate.perm is not None:
-            _kernels.apply_perm(amps, gate.perm, targets, n, cmask)
-        else:
-            _kernels.apply_dense(amps, gate.matrix, targets, n, cmask)
+        entries, targets = op.gate.entries, [axis[q] for q in op.targets]
+        kernel = _kernels.apply_diag if entries.ndim == 1 else _kernels.apply_dense
+        kernel(amps, entries, targets, n, _cmask([axis[c] for c in op.controls], n))
     return amps
 
 
@@ -276,7 +258,7 @@ def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     for run, wires in _groups(circuit.ops):
         if len(run) == 1:
             _compose(run, range(n), amps)
-        elif all(op.gate.diag is not None for op in run):
+        elif all(op.gate.entries.ndim == 1 for op in run):
             diag = _compose(run, wires, np.ones(2 ** len(wires), dtype=np.complex128))
             _kernels.apply_diag(amps, diag, wires, n, 0)
         else:
@@ -304,12 +286,12 @@ def register_distribution(state: StateVector, num_leading: int) -> np.ndarray:
 def hadamard() -> UnitaryGate:
     """Single-qubit Hadamard."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    return UnitaryGate(1, h)
+    return UnitaryGate(h)
 
 
 def pauli_x() -> UnitaryGate:
     """Single-qubit bit flip."""
-    return UnitaryGate(1, perm=(1, 0))
+    return UnitaryGate(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def ry(theta: float) -> UnitaryGate:
@@ -317,13 +299,12 @@ def ry(theta: float) -> UnitaryGate:
     if not np.isfinite(theta):
         raise ValueError("angle must be finite")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    mat = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return UnitaryGate(1, mat)
+    return UnitaryGate(np.array([[c, -s], [s, c]], dtype=np.complex128))
 
 
 def swap() -> UnitaryGate:
     """Two-qubit SWAP."""
-    return UnitaryGate(2, perm=(0, 2, 1, 3))
+    return UnitaryGate(np.eye(4)[[0, 2, 1, 3]])
 
 
 def diagonal(phases) -> UnitaryGate:
@@ -331,14 +312,13 @@ def diagonal(phases) -> UnitaryGate:
     ph = np.asarray(phases, dtype=np.float64)
     if ph.ndim != 1 or ph.size < 2 or ph.size & (ph.size - 1):
         raise ValueError("phases length must be a power of 2, at least 2")
-    arity = int(ph.size).bit_length() - 1
-    if arity > MAX_QUBITS:
-        raise ValueError(f"diagonal gate on {arity} qubits, over the limit of {MAX_QUBITS}")
+    if ph.size > 2**MAX_QUBITS:
+        raise ValueError(f"diagonal gate on {ph.size} entries, over the limit of 2^{MAX_QUBITS}")
     if not np.all(np.isfinite(ph)):  # before np.exp warns about them
         raise ValueError("phases must be finite")
     # e^(2 i pi ph) has period 1. Reduced first, a huge phase cannot lose
     # its whole turns to rounding (or overflow) in the product with 2 pi.
-    return UnitaryGate(arity, diag=np.exp(2j * np.pi * np.remainder(ph, 1.0)))
+    return UnitaryGate(np.exp(2j * np.pi * np.remainder(ph, 1.0)))
 
 
 def shift_circuit(circuit: QuantumCircuit, offset: int, new_width: int) -> QuantumCircuit:

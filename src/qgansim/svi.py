@@ -104,20 +104,31 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _strike(k) -> float:
+    """e^k, the strike of log-moneyness k; raises naming k unless finite."""
+    check_real("k", k)
+    try:
+        return math.exp(k)
+    except OverflowError:
+        raise ValueError(f"k = {k!r} is too large: e^k overflows") from None
+
+
 def bs_price(k: float, v: float) -> float:
     """Spot-normalized call price N(d+) - e^k N(d-) at total variance v.
 
     d_pm = -k/sqrt(v) +- sqrt(v)/2; at v = 0 the price is the intrinsic
     value (1 - e^k)+.
     """
+    strike = _strike(k)
+    check_real("v", v)
     if v < 0.0:
         raise ValueError("total variance must be nonnegative")
     if v == 0.0:
-        return max(1.0 - math.exp(k), 0.0)
+        return max(1.0 - strike, 0.0)
     sq = math.sqrt(v)
     d_plus = -k / sq + sq / 2.0
     d_minus = -k / sq - sq / 2.0
-    return _norm_cdf(d_plus) - math.exp(k) * _norm_cdf(d_minus)
+    return _norm_cdf(d_plus) - strike * _norm_cdf(d_minus)
 
 
 def implied_vol(price: float, k: float, T: float) -> float:
@@ -126,9 +137,11 @@ def implied_vol(price: float, k: float, T: float) -> float:
     Prices must lie strictly between intrinsic value and 1 (the v -> inf
     limit), otherwise no solution exists.
     """
+    check_real("price", price)
+    check_real("T", T)
     if T <= 0.0:
         raise ValueError("T must be positive")
-    intrinsic = max(1.0 - math.exp(k), 0.0)
+    intrinsic = max(1.0 - _strike(k), 0.0)
     if not intrinsic < price < 1.0:
         raise ValueError(
             f"price {price} out of the solvable range ({intrinsic}, 1) at k = {k}"

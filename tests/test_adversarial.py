@@ -249,7 +249,7 @@ def test_training_discriminator_shape():
     cfg = training_discriminator(2)
     assert cfg.m1 == 2
     assert cfg.m2 == 3
-    assert cfg.activation.name == "threshold"
+    assert cfg.activation is None  # the threshold activation of its registers
     assert training_discriminator(4).m2 == 4
 
 

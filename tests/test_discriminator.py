@@ -5,6 +5,7 @@ activation register, sign blindness, and the mid-cell threshold
 activation."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +32,26 @@ def random_state(rng, n):
 def test_config_defaults_and_validation():
     cfg = DiscriminatorConfig()
     assert cfg.m1 == 1 and cfg.m2 == 1
-    # The threshold activation of the config's own registers.
-    assert cfg.activation.name == "threshold"
-    assert cfg.activation.fn(0.0) == threshold_activation(1, 2.0).fn(0.0) == 0.25
+    # No activation given: the threshold activation of the config's own
+    # registers, resolved where it is read.
+    assert cfg.activation is None
+    explicit = DiscriminatorConfig(activation=threshold_activation(1, 2.0))
+    assert np.array_equal(cfg.check_width(1), explicit.check_width(1))
+    assert threshold_activation(1, 2.0).fn(0.0) == 0.25
     with pytest.raises(ValueError):
         DiscriminatorConfig(m1=0)
+
+
+@pytest.mark.parametrize("change", [{"m2": 5}, {"m1": 3}, {"m1": 1, "m2": 4}])
+def test_a_replaced_config_labels_as_a_fresh_one(change):
+    # The default activation follows m1 and m2: a copy made with other
+    # registers does not keep the threshold of the registers it came from.
+    copied = replace(DiscriminatorConfig(m1=2, m2=3), **change)
+    fresh = DiscriminatorConfig(**{"m1": 2, "m2": 3, **change})
+    assert np.array_equal(copied.check_width(2), fresh.check_width(2))
+    w = np.array([0.5, -0.25])
+    got = FastDiscriminator(copied, 2).label_probs(w)
+    assert np.array_equal(got, FastDiscriminator(fresh, 2).label_probs(w))
 
 
 def test_min_signed_ancillas():

@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qgansim import _kernels
+from qgansim import _kernels, statevec
 from qgansim.fourier import qft, qft_circuit
-from qgansim.statevec import CircuitOp, QuantumCircuit, StateVector, ry, run_circuit
+from qgansim.statevec import (
+    CircuitOp,
+    QuantumCircuit,
+    StateVector,
+    pauli_x,
+    ry,
+    run_circuit,
+    swap,
+)
 
 _I = np.eye(2)
 _ONE = np.diag([0.0, 1.0])  # |1><1|
@@ -198,7 +206,60 @@ def test_perm_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
     perm = rng.permutation(2**k)
     while np.array_equal(perm, np.arange(2**k)):
         perm = rng.permutation(2**k)
-    expected = _full_matrix(n, _perm_matrix(perm), targets, controls) @ amps
-    _kernels.apply_perm(amps, tuple(perm.tolist()), targets, n, _cmask(n, controls))
+    mat = _perm_matrix(perm).astype(np.complex128)
+    assert _kernels._permutation(mat) == perm.tolist()
+    expected = _full_matrix(n, mat, targets, controls) @ amps
+    _kernels.apply_dense(amps, mat, targets, n, _cmask(n, controls))
     # Amplitudes are moved, not computed: the result is exact.
     assert_allclose(amps, expected, rtol=0, atol=0)
+
+
+def test_a_fused_permutation_is_moved_exactly():
+    # SWAP X SWAP on wires (0, 1) is X on wire 1: run_circuit fuses the
+    # three ops into one permutation matrix, which moves amplitudes.
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        ops = (CircuitOp(swap(), (0, 1)), CircuitOp(pauli_x(), (0,)), CircuitOp(swap(), (0, 1)))
+        [(run, wires)] = statevec._groups(ops)
+        assert _kernels._permutation(statevec._matrix(run, wires)) == [1, 0, 3, 2]
+        out = run_circuit(QuantumCircuit(n, ops), state)
+        expected = state.amps.reshape(2, 2, -1)[:, ::-1].reshape(-1)
+        assert np.array_equal(out.amps, expected)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1, 0], [0, 0]],
+        [[0, 0], [1, 1]],
+        [[1, 1], [0, 0]],
+        [[0, 1], [1, 1]],
+        np.eye(4)[:, [0, 0, 2, 3]],
+        np.eye(4)[:, [1, 0, 3, 3]],
+        np.diag([1, 1, 1, -1]),
+        [[0, 1j], [1, 0]],
+    ],
+)
+def test_a_matrix_that_is_no_permutation_is_multiplied(mat):
+    # 0/1 matrices with a zero column, a repeated row, or an entry that is
+    # not 1: the kernel returns and matches the full matrix, as a product.
+    mat = np.asarray(mat, dtype=np.complex128)
+    assert _kernels._permutation(mat) is None
+    k = len(mat).bit_length() - 1
+    for n, targets, controls in ((k, tuple(range(k)), ()), (k + 2, tuple(range(k + 1, 0, -1))[:k], (0,))):
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        expected = _full_matrix(n, mat, targets, controls) @ amps
+        _kernels.apply_dense(amps, mat, targets, n, _cmask(n, controls))
+        assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+
+def test_the_identity_is_multiplied():
+    # Moving nothing would keep a -0.0 amplitude that the product
+    # 1 * (-0.0) + 0 * x turns into +0.0: the identity stays a product.
+    assert _kernels._permutation(np.eye(4, dtype=np.complex128)) is None
+    amps = np.array([-0.0, 1.0], dtype=np.complex128)
+    _kernels.apply_dense(amps, np.eye(2, dtype=np.complex128), (0,), 1, 0)
+    assert not np.signbit(amps.real[0])

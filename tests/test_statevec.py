@@ -172,22 +172,22 @@ def test_diagonal_of_huge_whole_phases_is_the_identity(phase):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gate = diagonal([0.0, phase])
-    assert np.array_equal(gate.diag, [1.0, 1.0])
+    assert np.array_equal(gate.entries, [1.0, 1.0])
 
 
 def test_diagonal_phases_are_taken_mod_one():
-    assert np.array_equal(diagonal([0.0, -0.25]).diag, diagonal([0.0, 0.75]).diag)
-    assert np.array_equal(diagonal([2.5, -3.0]).diag, diagonal([0.5, 0.0]).diag)
+    assert np.array_equal(diagonal([0.0, -0.25]).entries, diagonal([0.0, 0.75]).entries)
+    assert np.array_equal(diagonal([2.5, -3.0]).entries, diagonal([0.5, 0.0]).entries)
 
 
 def test_unitary_gate_rejects_nonunitary():
     with pytest.raises(ValueError):
-        UnitaryGate(1, np.array([[1.0, 0.0], [1.0, 1.0]]))
+        UnitaryGate(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_unitary_gate_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="not unitary"):
-        UnitaryGate(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        UnitaryGate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -214,26 +214,33 @@ def test_factory_matrices_are_unitary(gate):
 
 
 def _permutation_gate(perm):
-    return UnitaryGate(int(len(perm)).bit_length() - 1, perm=tuple(perm))
+    # Column j is the unit vector e_perm[j]: |j> -> |perm[j]>.
+    return UnitaryGate(np.eye(len(perm))[:, perm])
 
 
 def test_factories_build_the_form_the_kernel_reads():
-    # (factory gate, form held): exactly that field is set.
+    # (factory gate, entries.ndim): a diagonal holds its 2^k entries, any
+    # other gate its 2^k x 2^k matrix.
     cases = [
-        (hadamard(), "matrix"),
-        (ry(0.7), "matrix"),
-        (diagonal([0.0, 0.3]), "diag"),
-        (diagonal([0.1, 0.2, 0.3, 0.4]), "diag"),
-        (pauli_x(), "perm"),
-        (swap(), "perm"),
+        (hadamard(), 2),
+        (ry(0.7), 2),
+        (pauli_x(), 2),
+        (swap(), 2),
+        (diagonal([0.0, 0.3]), 1),
+        (diagonal([0.1, 0.2, 0.3, 0.4]), 1),
     ]
-    for gate, form in cases:
-        held = [f for f in ("matrix", "diag", "perm") if getattr(gate, f) is not None]
-        assert held == [form], (gate, held)
-    assert pauli_x().perm == (1, 0)
-    assert swap().perm == (0, 2, 1, 3)
+    for gate, ndim in cases:
+        assert gate.entries.ndim == ndim, gate
+        assert gate.entries.shape == (2**gate.arity,) * ndim
+    # X and SWAP are exact 0/1 permutation matrices, which the kernel
+    # applies by moving slices.
+    assert np.array_equal(pauli_x().entries, [[0, 1], [1, 0]])
+    assert np.array_equal(swap().entries, np.eye(4)[:, [0, 2, 1, 3]])
+    assert _kernels._permutation(pauli_x().entries) == [1, 0]
+    assert _kernels._permutation(swap().entries) == [0, 2, 1, 3]
+    assert _kernels._permutation(hadamard().entries) is None
     # A controlled phase is a one-qubit diagonal under a control.
-    assert_allclose(diagonal([0.0, 0.25]).diag, [1, 1j], atol=1e-15)
+    assert_allclose(diagonal([0.0, 0.25]).entries, [1, 1j], atol=1e-15)
     # The width cap is the state's, not a dense matrix's.
     assert diagonal(np.zeros(2**MAX_QUBITS)).arity == MAX_QUBITS
 
@@ -241,21 +248,21 @@ def test_factories_build_the_form_the_kernel_reads():
 @pytest.mark.parametrize(
     "make, match",
     [
-        (lambda: UnitaryGate(1), "exactly one"),
-        (lambda: UnitaryGate(1, np.eye(2), diag=np.ones(2)), "exactly one"),
-        (lambda: UnitaryGate(1, diag=np.ones(2), perm=(0, 1)), "exactly one"),
-        (lambda: UnitaryGate(1, diag=np.ones(4)), "2 entries"),
-        (lambda: UnitaryGate(1, diag=[1.0, 0.5]), "not unitary"),
-        (lambda: UnitaryGate(1, diag=[1.0, np.nan]), "not unitary"),
-        (lambda: UnitaryGate(1, perm=(0, 0)), "reorder"),
-        (lambda: UnitaryGate(1, perm=(0, 1, 2, 3)), "reorder"),
+        (lambda: UnitaryGate(np.ones((2, 2, 2))), r"got shape \(2, 2, 2\)"),
+        (lambda: UnitaryGate(np.ones((2, 4))), r"got shape \(2, 4\)"),
+        (lambda: UnitaryGate(np.eye(1)), r"got shape \(1, 1\)"),
+        (lambda: UnitaryGate(np.ones(3)), r"got shape \(3,\)"),
+        (lambda: UnitaryGate([1.0, 0.5]), "diagonal is not unitary"),
+        (lambda: UnitaryGate([1.0, np.nan]), "diagonal is not unitary"),
+        (lambda: UnitaryGate([[1.0, 1.0], [0.0, 0.0]]), "matrix is not unitary"),
+        (lambda: UnitaryGate(np.eye(3)[:, [1, 2, 0]]), r"got shape \(3, 3\)"),
         (lambda: diagonal([0.0, np.nan]), "finite"),
         (lambda: diagonal([np.inf, 0.0]), "finite"),
         (lambda: CircuitOp(diagonal([0.0, np.nan]), (1,), (0,)), "finite"),
         (lambda: diagonal(np.zeros(2 ** (MAX_QUBITS + 1))), "over the limit"),
     ],
     ids=[
-        "no-form", "matrix-and-diag", "diag-and-perm", "diag-length", "diag-modulus",
+        "no-form", "not-square", "one-entry", "diag-length", "diag-modulus",
         "diag-nan", "perm-repeat", "perm-length", "phase-nan", "phase-inf", "controlled-phase-nan",
         "diagonal-too-wide",
     ],
@@ -271,6 +278,8 @@ def test_gate_constructors_reject_bad_forms(make, match):
 def test_circuit_op_validation():
     with pytest.raises(ValueError):
         CircuitOp(hadamard(), (0, 1))  # arity mismatch
+    with pytest.raises(ValueError, match="needs 1 targets, got 0"):
+        CircuitOp(pauli_x(), (), (0,))  # no target
     with pytest.raises(ValueError):
         CircuitOp(pauli_x(), (1,), (1,))  # duplicate wire
     with pytest.raises(ValueError):
@@ -293,7 +302,7 @@ def test_apply_op_matches_embedded_matrix_oracle():
         wires = rng.permutation(n)
         n_ctrl = int(rng.integers(0, n - k + 1))
         op = CircuitOp(
-            UnitaryGate(k, q),
+            UnitaryGate(q),
             tuple(int(w) for w in wires[:k]),
             tuple(int(w) for w in wires[k : k + n_ctrl]),
         )
@@ -482,7 +491,7 @@ def _random_op(rng, n):
         if kind == 0:
             k = int(rng.integers(1, min(n, 2) + 1))
             q, _ = np.linalg.qr(rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k)))
-            gate = UnitaryGate(k, q)
+            gate = UnitaryGate(q)
         elif kind == 1:
             gate = [hadamard(), ry(float(rng.uniform(0, 7)))][int(rng.integers(0, 2))]
         elif kind == 2:

@@ -116,6 +116,28 @@ def test_implied_vol_rejects_unsolvable_prices():
         implied_vol(0.5, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: implied_vol(0.1, 0.0, math.nan), "^T = nan is not a finite real number"),
+        (lambda: implied_vol(0.1, 0.0, math.inf), "^T = inf is not a finite real number"),
+        (lambda: implied_vol(0.1, math.inf, 1.0), "^k = inf is not a finite real number"),
+        (lambda: implied_vol(0.1, -math.inf, 1.0), "^k = -inf is not a finite real number"),
+        (lambda: implied_vol(0.1, 1e308, 1.0), r"^k = 1e\+308 is too large: e\^k overflows"),
+        (lambda: implied_vol(math.nan, 0.0, 1.0), "^price = nan is not a finite real number"),
+        (lambda: bs_price(0.0, math.nan), "^v = nan is not a finite real number"),
+        (lambda: bs_price(0.0, math.inf), "^v = inf is not a finite real number"),
+        (lambda: bs_price(math.nan, 0.04), "^k = nan is not a finite real number"),
+        (lambda: bs_price(710.0, 0.04), r"^k = 710\.0 is too large: e\^k overflows"),
+    ],
+)
+def test_pricing_refuses_what_it_cannot_price_naming_the_argument(call, match):
+    # Unchecked, an infinite T or k prices at 3.1e-61, a nan v at nan, and
+    # k = 1e308 overflows in e^k.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_density_reduces_to_lognormal_when_b_zero():
     # with b = 0 total variance is flat at a, so the log price is exactly
     # N(-a/2, a); the closed form must collapse to that normal density.
