@@ -87,10 +87,20 @@ class UnitaryGate:
     The kernel multiplies slices by a diagonal, moves them for a matrix that
     permutes (X, SWAP) and multiplies by any other matrix. circuit_matrix of
     a one-op circuit gives any gate's dense matrix. Every gate is checked
-    here, the package factories' too.
+    here, the package factories' too. Two gates are equal when their entries
+    have the same shape and bytes.
     """
 
     entries: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitaryGate):
+            return NotImplemented
+        a, b = self.entries, other.entries
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def __hash__(self):
+        return hash((self.entries.shape, self.entries.tobytes()))
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -189,22 +199,35 @@ def _cmask(controls, width):
     return sum(1 << (width - 1 - c) for c in controls)
 
 
+def _wire_ops(ops):
+    # CircuitOps as the (entries, targets, controls) triples that the
+    # helpers below take.
+    return [(op.gate.entries, op.targets, op.controls) for op in ops]
+
+
 def _groups(ops):
-    # The ops in groups that run_circuit applies in one pass each, as
-    # (ops, sorted touched qubits) pairs. An op joins the first group that
-    # fits after the last group touching any of its qubits (targets or
-    # controls), so it moves only past ops on other qubits, which commute
-    # with it. An all-diagonal group spans at most _kernels._BLOCK_QUBITS
-    # qubits; any other group of two or more ops at most _kernels._FUSE_QUBITS.
+    # The (entries, targets, controls) ops in groups that run_circuit
+    # applies in one pass each, as (ops, sorted touched qubits) pairs. An op
+    # joins the first group that fits after the last group touching any of
+    # its qubits (targets or controls), so it moves only past ops on other
+    # qubits, which commute with it. An all-diagonal group spans at most
+    # _kernels._BLOCK_QUBITS qubits. Any other group of two or more ops spans
+    # a sorted run of at most _kernels._FUSE_QUBITS wires, so that its fused
+    # matrix takes the kernel's span path.
     groups, last = [], {}
     for op in ops:
-        touched = set(op.targets + op.controls)
-        diag = op.gate.entries.ndim == 1
+        entries, targets, controls = op
+        touched = set(targets) | set(controls)
+        diag = entries.ndim == 1
         g = max(last.get(q, 0) for q in touched)
         while g < len(groups):
             run, wires, all_diag = groups[g]
-            width = _kernels._BLOCK_QUBITS if diag and all_diag else _kernels._FUSE_QUBITS
-            if len(wires | touched) <= width:
+            union = wires | touched
+            if diag and all_diag:
+                fits = len(union) <= _kernels._BLOCK_QUBITS
+            else:
+                fits = len(union) <= _kernels._FUSE_QUBITS and max(union) - min(union) < len(union)
+            if fits:
                 break
             g += 1
         else:
@@ -217,14 +240,13 @@ def _groups(ops):
 
 
 def _compose(ops, wires, amps: np.ndarray) -> np.ndarray:
-    # Apply `ops` in place to `amps`, whose last len(wires) qubits stand
-    # for `wires` in that order, and return it.
+    # Apply the (entries, targets, controls) `ops` in place to `amps`, whose
+    # last len(wires) qubits stand for `wires` in that order, and return it.
     n = amps.size.bit_length() - 1
     axis = {q: n - len(wires) + i for i, q in enumerate(wires)}
-    for op in ops:
-        entries, targets = op.gate.entries, [axis[q] for q in op.targets]
+    for entries, targets, controls in ops:
         kernel = _kernels.apply_diag if entries.ndim == 1 else _kernels.apply_dense
-        kernel(amps, entries, targets, n, _cmask([axis[c] for c in op.controls], n))
+        kernel(amps, entries, [axis[q] for q in targets], n, _cmask([axis[c] for c in controls], n))
     return amps
 
 
@@ -244,25 +266,43 @@ def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
 def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     """Left-to-right composition of the circuit's ops.
 
-    Ops are applied in groups, one pass over the state each: an op may
-    move ahead of ops on other qubits (with which it commutes) to join an
-    earlier group. A group of diagonal ops is folded into one diagonal
-    over up to 14 qubits; any other group of several ops is multiplied
-    into one dense gate over up to 3. Only rounding differs from applying
-    the ops one at a time.
+    An uncontrolled SWAP moves no data: it exchanges two entries of a wire
+    frame (logical wire -> axis of the amplitudes), and every later op acts
+    on the axes its wires map to. The frame is applied once at the end, in
+    place, and not at all when it is the identity. The other ops are
+    applied in groups, one pass over the state each: an op may move ahead
+    of ops on other qubits (with which it commutes) to join an earlier
+    group. A group of diagonal ops is folded into one diagonal over up to
+    14 qubits; any other group of several ops, on a sorted run of up to 3
+    wires, is multiplied into one dense gate. Only rounding differs from
+    applying the ops one at a time.
     """
     if circuit.num_qubits != input.num_qubits:
         raise ValueError("circuit and state widths differ")
     n = circuit.num_qubits
     amps = input.amps.copy()
-    for run, wires in _groups(circuit.ops):
+    where, ops = list(range(n)), []
+    for op in circuit.ops:
+        entries = op.gate.entries
+        if (
+            not op.controls
+            and entries.shape == (4, 4)
+            and _kernels._permutation(entries) == [0, 2, 1, 3]  # SWAP
+        ):
+            a, b = op.targets
+            where[a], where[b] = where[b], where[a]
+        else:
+            targets = tuple(where[q] for q in op.targets)
+            ops.append((entries, targets, tuple(where[q] for q in op.controls)))
+    for run, wires in _groups(ops):
         if len(run) == 1:
             _compose(run, range(n), amps)
-        elif all(op.gate.entries.ndim == 1 for op in run):
+        elif all(entries.ndim == 1 for entries, _, _ in run):
             diag = _compose(run, wires, np.ones(2 ** len(wires), dtype=np.complex128))
             _kernels.apply_diag(amps, diag, wires, n, 0)
         else:
             _kernels.apply_dense(amps, _matrix(run, wires), wires, n, 0)
+    _kernels.permute_wires(amps, where, n)
     return StateVector(n, amps)
 
 
@@ -273,7 +313,7 @@ def circuit_matrix(circuit: QuantumCircuit) -> np.ndarray:
             f"num_qubits = {circuit.num_qubits}: circuit_matrix is limited to "
             f"{_MAX_GATE_QUBITS} qubits"
         )
-    return _matrix(circuit.ops, range(circuit.num_qubits)).copy()
+    return _matrix(_wire_ops(circuit.ops), range(circuit.num_qubits)).copy()
 
 
 def register_distribution(state: StateVector, num_leading: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The gate kernel against full matrices built from Kronecker products."""
 
+import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -215,14 +217,15 @@ def test_perm_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
 
 
 def test_a_fused_permutation_is_moved_exactly():
-    # SWAP X SWAP on wires (0, 1) is X on wire 1: run_circuit fuses the
-    # three ops into one permutation matrix, which moves amplitudes.
+    # SWAP X SWAP on wires (0, 1) is X on wire 1: fused, the three ops make
+    # one permutation matrix, which moves amplitudes. run_circuit keeps the
+    # SWAPs in its wire frame instead and moves X on wire 1.
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
         ops = (CircuitOp(swap(), (0, 1)), CircuitOp(pauli_x(), (0,)), CircuitOp(swap(), (0, 1)))
-        [(run, wires)] = statevec._groups(ops)
+        [(run, wires)] = statevec._groups(statevec._wire_ops(ops))
         assert _kernels._permutation(statevec._matrix(run, wires)) == [1, 0, 3, 2]
         out = run_circuit(QuantumCircuit(n, ops), state)
         expected = state.amps.reshape(2, 2, -1)[:, ::-1].reshape(-1)
@@ -263,3 +266,48 @@ def test_the_identity_is_multiplied():
     amps = np.array([-0.0, 1.0], dtype=np.complex128)
     _kernels.apply_dense(amps, np.eye(2, dtype=np.complex128), (0,), 1, 0)
     assert not np.signbit(amps.real[0])
+
+
+def _permute_cases():
+    rng = np.random.default_rng(11)
+    cases = [(n, list(w)) for n in range(1, 5) for w in itertools.permutations(range(n))]
+    cases += [(n, rng.permutation(n).tolist()) for n in range(5, 12) for _ in range(6)]
+    cases += [(n, list(range(n))[::-1]) for n in range(5, 12)]
+    return cases
+
+
+@pytest.mark.parametrize("tile_qubits", [_kernels._TILE_QUBITS, 1])
+@pytest.mark.parametrize("n,where", _permute_cases())
+def test_permute_wires_transposes_the_register_in_place(n, where, tile_qubits, monkeypatch):
+    # tile_qubits=1 moves one row at a time and trades single entries. The
+    # result is moved, not computed, so it is exact.
+    monkeypatch.setattr(_kernels, "_TILE_QUBITS", tile_qubits)
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    expected = amps.reshape((2,) * n).transpose(where).reshape(-1)
+    _kernels.permute_wires(amps, where, n)
+    assert np.array_equal(amps, expected)
+
+
+def test_permute_wires_leaves_the_identity_alone():
+    amps = np.arange(8, dtype=np.complex128)
+    amps.flags.writeable = False  # a write would raise
+    _kernels.permute_wires(amps, [0, 1, 2], 3)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [list(range(16))[::-1], [15] + list(range(1, 15)) + [0], [1, 0] + list(range(2, 16))],
+)
+def test_permute_wires_makes_no_state_sized_temporary(where):
+    # A bit reversal (the transpose and the row pass), a swap of the outer
+    # wires (all three passes) and one of the first two (the row pass only).
+    n = 16
+    amps = np.zeros(2**n, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        _kernels.permute_wires(amps, where, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < amps.nbytes / 2

@@ -245,6 +245,23 @@ def test_factories_build_the_form_the_kernel_reads():
     assert diagonal(np.zeros(2**MAX_QUBITS)).arity == MAX_QUBITS
 
 
+def test_gates_compare_and_hash_by_value():
+    assert swap() == swap() and hash(swap()) == hash(swap())
+    assert pauli_x() == pauli_x() and hadamard() == hadamard()
+    assert swap() != pauli_x()
+    assert ry(0.3) != ry(0.4)
+    # A diagonal never equals a dense matrix, not even the same operator's.
+    assert diagonal([0.0, 0.5]) != UnitaryGate(np.diag([1.0, -1.0]))
+    assert diagonal([0.0, 0.0]) != UnitaryGate(np.eye(2))
+    assert len({swap(), swap(), pauli_x(), diagonal([0.0, 0.5])}) == 3
+    assert hadamard() != "H"
+    # Ops and circuits compare through their gates.
+    assert CircuitOp(swap(), (0, 2), (1,)) == CircuitOp(swap(), (0, 2), (1,))
+    assert CircuitOp(swap(), (0, 2)) != CircuitOp(swap(), (2, 0))
+    assert hash(CircuitOp(ry(0.5), (1,))) == hash(CircuitOp(ry(0.5), (1,)))
+    assert qft_circuit(5) == qft_circuit(5)
+
+
 @pytest.mark.parametrize(
     "make, match",
     [
@@ -540,19 +557,99 @@ def test_groups_fuse_ops_that_commute_into_place():
     # The controlled-phase sweep over 20 qubits: op q couples qubits q and
     # q + 1, so a diagonal group stops when a 15th qubit would join it.
     sweep = [CircuitOp(diagonal([0.0, 0.1 * q]), (q + 1,), (q,)) for q in range(19)]
-    groups = statevec._groups(sweep)
+    groups = statevec._groups(statevec._wire_ops(sweep))
     assert [len(run) for run, _ in groups] == [13, 6]
     assert [wires for _, wires in groups] == [list(range(14)), list(range(13, 20))]
     # An RY layer: ops on fresh qubits fill each dense group to the width.
     width = _kernels._FUSE_QUBITS
-    groups = statevec._groups([CircuitOp(ry(0.1 * q), (q,)) for q in range(20)])
+    groups = statevec._groups(statevec._wire_ops(CircuitOp(ry(0.1 * q), (q,)) for q in range(20)))
     assert [wires for _, wires in groups] == [
         list(range(q, min(q + width, 20))) for q in range(0, 20, width)
     ]
     # H(5) may not move ahead of the phase on (0, 5), which shares qubit 5
-    # with it, into H(0)'s group, though that group has room for it.
+    # with it, into H(0)'s group, though that group has room for it. Nor
+    # may it join the phase: wires 0, 5 and 6 are no run, so their fused
+    # matrix would miss the span path.
     h0, h1, h5 = (CircuitOp(hadamard(), (q,)) for q in (0, 1, 5))
     cz = CircuitOp(diagonal([0.0, 0.3]), (5,), (0, 6))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_FUSE_QUBITS", 3)
-        assert [run for run, _ in statevec._groups([h0, h1, cz, h5])] == [[h0, h1], [cz, h5]]
+        groups = statevec._groups(statevec._wire_ops([h0, h1, cz, h5]))
+    assert [[(t, c) for _, t, c in run] for run, _ in groups] == [
+        [((0,), ()), ((1,), ())],
+        [((5,), (0, 6))],
+        [((5,), ())],
+    ]
+
+
+def _swap_sequence(rng, n):
+    # A random wire permutation as a list of wire pairs to swap in turn.
+    pairs = []
+    for _ in range(int(rng.integers(1, 3 * n))):
+        a, b = (int(w) for w in rng.choice(n, 2, replace=False))
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_swap_circuits_return_the_permuted_input_exactly(n):
+    # The frame is applied once, by moving amplitudes, so every bit of the
+    # input comes back in its new place. Odd and even widths, and the full
+    # bit reversal of qft_circuit's SWAP network.
+    rng = np.random.default_rng(n)
+    state = random_state(rng, n)
+    sequences = [_swap_sequence(rng, n) for _ in range(4)]
+    sequences.append([(q, n - 1 - q) for q in range(n // 2)])
+    for pairs in sequences:
+        expected = state.amps.reshape((2,) * n)
+        for a, b in pairs:
+            expected = np.swapaxes(expected, a, b)
+        circuit = QuantumCircuit(n, tuple(CircuitOp(swap(), pair) for pair in pairs))
+        assert np.array_equal(run_circuit(circuit, state).amps, expected.reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "block_qubits, tile_qubits", [(_kernels._BLOCK_QUBITS, _kernels._TILE_QUBITS), (2, 1)]
+)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_run_circuit_with_swaps_matches_circuit_matrix(block_qubits, tile_qubits, seed):
+    # Uncontrolled SWAPs go into the wire frame, controlled ones are moved
+    # at once; after each uncontrolled SWAP comes an op with one of its
+    # targets or controls on a swapped wire. block_qubits=2 and
+    # tile_qubits=1 split every kernel pass and every frame pass into the
+    # smallest pieces.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    ops = []
+    for _ in range(int(rng.integers(1, 12))):
+        a, b = (int(w) for w in rng.choice(n, 2, replace=False))
+        ops.append(CircuitOp(swap(), (a, b)))
+        op = _random_op(rng, n)
+        wires = op.targets + op.controls
+        pick, onto = wires[int(rng.integers(0, len(wires)))], (a, b)[int(rng.integers(0, 2))]
+        relabel = {pick: onto, onto: pick}
+        targets, controls = (tuple(relabel.get(q, q) for q in w) for w in (op.targets, op.controls))
+        ops.append(CircuitOp(op.gate, targets, controls))
+    circuit = QuantumCircuit(n, tuple(ops))
+    state = random_state(rng, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+        mp.setattr(_kernels, "_TILE_QUBITS", tile_qubits)
+        out = run_circuit(circuit, state)
+    assert_allclose(out.amps, circuit_matrix(circuit) @ state.amps, rtol=0, atol=1e-12)
+
+
+def test_qft_swaps_make_no_state_sized_temporary():
+    # The input copy is the only state-sized array: the frame is applied in
+    # tiles, where one numpy transpose would make a second state.
+    n = 16
+    state = random_state(np.random.default_rng(16), n)
+    circuit = qft_circuit(n)
+    tracemalloc.start()
+    try:
+        run_circuit(circuit, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.amps.nbytes
