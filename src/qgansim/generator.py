@@ -21,7 +21,6 @@ from .statevec import (
     QuantumCircuit,
     StateVector,
     basis_ket,
-    pauli_x,
     ry,
     run_circuit,
 )
@@ -90,31 +89,25 @@ def exact_angles(target: DiscreteDistribution) -> dict:
 def build_exact_circuit(angles: dict) -> QuantumCircuit:
     """Multi-controlled RY chain realizing the conditional construction.
 
-    The rotation for prefix b acts on qubit len(b) controlled on the
-    prefix pattern; zero bits of the pattern are handled by X dressing
-    around the controls.
+    The rotation for prefix b acts on qubit len(b), controlled by qubits
+    0 .. len(b) - 1 with the bits of b as their control values: 2^n - 1
+    ops in all.
     """
     n = len(angles).bit_length()
     ops = []
     for k in range(n):
         for prefix_index in range(2**k):
             prefix_bits = tuple((prefix_index >> (k - 1 - i)) & 1 for i in range(k))
-            theta = angles[prefix_bits]
-            zero_positions = tuple(i for i, b in enumerate(prefix_bits) if b == 0)
-            for q in zero_positions:
-                ops.append(CircuitOp(pauli_x(), (q,)))
-            ops.append(CircuitOp(ry(theta), (k,), tuple(range(k))))
-            for q in zero_positions:
-                ops.append(CircuitOp(pauli_x(), (q,)))
+            ops.append(CircuitOp(ry(angles[prefix_bits]), (k,), tuple(range(k)), prefix_bits))
     return QuantumCircuit(n, tuple(ops))
 
 
 def build_parametric_circuit(n: int, params: GeneratorParams) -> QuantumCircuit:
-    """Fixed RY/CRY/X ansatz with 3n - 3 angles (1 angle at n = 1).
+    """Fixed RY/CRY ansatz with 3n - 3 angles (1 angle at n = 1), one op each.
 
     Layout: RY(t1) on qubit 0; for each stage k = 2..n a pair of CRYs on
-    qubit k-1 controlled by qubit k-2, the second conditioned on control
-    value 0 via an X sandwich; then a mixing RY layer on qubits 2..n-1.
+    qubit k-1 controlled by qubit k-2, the first conditioned on control
+    value 1 and the second on 0; then a mixing RY layer on qubits 2..n-1.
     """
     thetas = params.thetas
     if thetas.size != num_params(n):
@@ -126,9 +119,7 @@ def build_parametric_circuit(n: int, params: GeneratorParams) -> QuantumCircuit:
     for k in range(2, n + 1):
         control, target = k - 2, k - 1
         ops.append(CircuitOp(ry(thetas[idx]), (target,), (control,)))
-        ops.append(CircuitOp(pauli_x(), (control,)))
-        ops.append(CircuitOp(ry(thetas[idx + 1]), (target,), (control,)))
-        ops.append(CircuitOp(pauli_x(), (control,)))
+        ops.append(CircuitOp(ry(thetas[idx + 1]), (target,), (control,), (0,)))
         idx += 2
     for j in range(n - 2):
         ops.append(CircuitOp(ry(thetas[idx]), (j + 2,)))
@@ -148,8 +139,8 @@ def generate_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     and row i equals generate_state(n, GeneratorParams(thetas[i])).amps.
     Each stage k grows the state by its still-|0> target qubit k-1: the
     CRY pair rotates it by the first angle where qubit k-2 is 1 and by
-    the second where it is 0 (the X sandwich). The mixing RYs then act on
-    reshaped slices of the full state.
+    the second where it is 0. The mixing RYs then act on reshaped slices
+    of the full state.
 
     Every stage writes into buffers made once per call, so no stage
     allocates, and each amplitude takes its products in gate order, so a

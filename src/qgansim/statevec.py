@@ -84,11 +84,11 @@ class UnitaryGate:
     """A unitary on `arity` qubits: its 2^arity diagonal entries (1-d), each
     of modulus 1, or its 2^arity x 2^arity matrix (2-d).
 
-    The kernel multiplies slices by a diagonal, moves them for a matrix that
-    permutes (X, SWAP) and multiplies by any other matrix. circuit_matrix of
-    a one-op circuit gives any gate's dense matrix. Every gate is checked
-    here, the package factories' too. Two gates are equal when their entries
-    have the same shape and bytes.
+    The kernel multiplies slices by a diagonal and multiplies by any
+    matrix, X and SWAP too. circuit_matrix of a one-op circuit gives any
+    gate's dense matrix. Every gate is checked here, the package factories'
+    too. Two gates are equal when their entries have the same shape and
+    bytes.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -123,27 +123,40 @@ class UnitaryGate:
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """A gate bound to target wires, conditioned on control wires being |1>."""
+    """A gate bound to target wires, conditioned on each control wire
+    reading its control value: 1 unless `control_values` gives 0 for it.
+
+    `control_values` holds one 0 or 1 per control; None stands for all 1s,
+    and an op stores and compares it spelled out.
+    """
 
     gate: UnitaryGate
     targets: tuple
     controls: tuple = ()
+    control_values: tuple | None = None
 
     def __post_init__(self):
-        targets = tuple(int(q) for q in self.targets)
-        controls = tuple(int(q) for q in self.controls)
-        if len(targets) != self.gate.arity:
+        controls = tuple(self.controls)
+        values = (1,) * len(controls) if self.control_values is None else self.control_values
+        # Each field is checked before it is stored, so int() truncates nothing.
+        for key, items, high in (
+            ("targets", self.targets, None), ("controls", controls, None), ("control_values", values, 1)
+        ):
+            items = tuple(items)
+            for x in items:
+                check_int(key, x, 0, high)
+            object.__setattr__(self, key, tuple(map(int, items)))
+        if len(self.control_values) != len(controls):
+            raise ValueError(f"control_values = {self.control_values!r} needs one value for "
+                             f"each of {len(controls)} controls")
+        if len(self.targets) != self.gate.arity:
             raise ValueError(
                 f"gate arity {self.gate.arity} needs {self.gate.arity} targets, "
-                f"got {len(targets)}"
+                f"got {len(self.targets)}"
             )
-        touched = targets + controls
+        touched = self.targets + self.controls
         if len(set(touched)) != len(touched):
             raise ValueError("target and control qubits must be distinct")
-        if any(q < 0 for q in touched):
-            raise ValueError("qubit indices must be nonnegative")
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "controls", controls)
 
     def max_qubit(self):
         return max(self.targets + self.controls)
@@ -194,15 +207,20 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def _cmask(controls, width):
-    # Control bitmask: qubit q has bit significance width - 1 - q.
-    return sum(1 << (width - 1 - c) for c in controls)
+def _masks(controls, width):
+    # The kernel's control bitmask and its bits that condition on 0, for a
+    # {wire: value} dict: qubit q has bit significance width - 1 - q.
+    cmask = zeros = 0
+    for c, v in controls.items():
+        cmask |= 1 << (width - 1 - c)
+        zeros |= (1 - v) << (width - 1 - c)
+    return cmask, zeros
 
 
 def _wire_ops(ops):
     # CircuitOps as the (entries, targets, controls) triples that the
-    # helpers below take.
-    return [(op.gate.entries, op.targets, op.controls) for op in ops]
+    # helpers below take, with controls as a {wire: value} dict.
+    return [(op.gate.entries, op.targets, dict(zip(op.controls, op.control_values))) for op in ops]
 
 
 def _groups(ops):
@@ -246,7 +264,8 @@ def _compose(ops, wires, amps: np.ndarray) -> np.ndarray:
     axis = {q: n - len(wires) + i for i, q in enumerate(wires)}
     for entries, targets, controls in ops:
         kernel = _kernels.apply_diag if entries.ndim == 1 else _kernels.apply_dense
-        kernel(amps, entries, [axis[q] for q in targets], n, _cmask([axis[c] for c in controls], n))
+        cmask, zeros = _masks({axis[c]: v for c, v in controls.items()}, n)
+        kernel(amps, entries, [axis[q] for q in targets], n, cmask, zeros=zeros)
     return amps
 
 
@@ -283,17 +302,13 @@ def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     amps = input.amps.copy()
     where, ops = list(range(n)), []
     for op in circuit.ops:
-        entries = op.gate.entries
-        if (
-            not op.controls
-            and entries.shape == (4, 4)
-            and _kernels._permutation(entries) == [0, 2, 1, 3]  # SWAP
-        ):
+        if not op.controls and op.gate == _SWAP:
             a, b = op.targets
             where[a], where[b] = where[b], where[a]
         else:
             targets = tuple(where[q] for q in op.targets)
-            ops.append((entries, targets, tuple(where[q] for q in op.controls)))
+            controls = {where[q]: v for q, v in zip(op.controls, op.control_values)}
+            ops.append((op.gate.entries, targets, controls))
     for run, wires in _groups(ops):
         if len(run) == 1:
             _compose(run, range(n), amps)
@@ -347,6 +362,10 @@ def swap() -> UnitaryGate:
     return UnitaryGate(np.eye(4)[[0, 2, 1, 3]])
 
 
+# run_circuit keeps an uncontrolled gate equal to this in its wire frame.
+_SWAP = swap()
+
+
 def diagonal(phases) -> UnitaryGate:
     """Diagonal gate Diag(e^(2*i*pi*phases[x])) over a power-of-two domain."""
     ph = np.asarray(phases, dtype=np.float64)
@@ -368,6 +387,7 @@ def shift_circuit(circuit: QuantumCircuit, offset: int, new_width: int) -> Quant
             op.gate,
             tuple(q + offset for q in op.targets),
             tuple(q + offset for q in op.controls),
+            op.control_values,
         )
         for op in circuit.ops
     )

@@ -18,7 +18,15 @@ from qgansim.generator import (
     num_params,
     param_kinds,
 )
-from qgansim.statevec import basis_ket, run_circuit
+from qgansim.statevec import (
+    CircuitOp,
+    QuantumCircuit,
+    basis_ket,
+    circuit_matrix,
+    pauli_x,
+    ry,
+    run_circuit,
+)
 from qgansim.svi import DiscreteDistribution
 
 
@@ -30,6 +38,29 @@ def random_target(rng, n):
 def load_exact(target):
     circ = build_exact_circuit(exact_angles(target))
     return run_circuit(circ, basis_ket(target.n_qubits, 0))
+
+
+def dressed_exact_circuit(angles):
+    """The loader with controls on 1 only: each 0 bit of a prefix is
+    flipped by X before and after the prefix's RY."""
+    n = len(angles).bit_length()
+    ops = []
+    for prefix, theta in sorted(angles.items(), key=lambda item: (len(item[0]), item[0])):
+        flips = [CircuitOp(pauli_x(), (q,)) for q, bit in enumerate(prefix) if bit == 0]
+        ops += flips + [CircuitOp(ry(theta), (len(prefix),), tuple(range(len(prefix))))] + flips
+    return QuantumCircuit(n, tuple(ops))
+
+
+def dressed_parametric_circuit(n, thetas):
+    """The ansatz with controls on 1 only: stage k's second CRY between two
+    X gates on its control."""
+    ops = [CircuitOp(ry(thetas[0]), (0,))]
+    for k in range(2, n + 1):
+        flip = CircuitOp(pauli_x(), (k - 2,))
+        ops += [CircuitOp(ry(thetas[2 * k - 3]), (k - 1,), (k - 2,)), flip]
+        ops += [CircuitOp(ry(thetas[2 * k - 2]), (k - 1,), (k - 2,)), flip]
+    ops += [CircuitOp(ry(thetas[2 * n - 1 + j]), (j + 2,)) for j in range(n - 2)]
+    return QuantumCircuit(n, tuple(ops))
 
 
 def test_num_params():
@@ -112,8 +143,31 @@ def test_ansatz_amplitudes_are_real():
 def test_ansatz_circuit_structure():
     circ = build_parametric_circuit(4, GeneratorParams(np.zeros(9)))
     assert circ.num_qubits == 4
-    # 1 ry + 3 stages x (2 cry + 2 x) + 2 mixing ry
-    assert len(circ.ops) == 1 + 3 * 4 + 2
+    # 1 ry + 3 stages x 2 cry + 2 mixing ry: one op per angle, no X.
+    assert len(circ.ops) == 1 + 3 * 2 + 2
+    assert [op.control_values for op in circ.ops[1:7]] == [(1,), (0,)] * 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_open_controls_match_the_x_dressed_circuits(n):
+    # Not bitwise: the X products turn -0.0 into +0.0.
+    rng = np.random.default_rng(30 + n)
+    for _ in range(3):
+        angles = exact_angles(random_target(rng, n))
+        circ = build_exact_circuit(angles)
+        assert len(circ.ops) == 2**n - 1
+        assert all(op.gate != pauli_x() for op in circ.ops)
+        dressed = dressed_exact_circuit(angles)
+        assert_allclose(circuit_matrix(circ), circuit_matrix(dressed), rtol=0, atol=1e-12)
+        assert_allclose(
+            run_circuit(circ, basis_ket(n, 0)).amps, run_circuit(dressed, basis_ket(n, 0)).amps,
+            rtol=0, atol=1e-12,
+        )
+        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, num_params(n))
+        circ = build_parametric_circuit(n, GeneratorParams(thetas))
+        assert len(circ.ops) == num_params(n)
+        dressed = dressed_parametric_circuit(n, thetas)
+        assert_allclose(circuit_matrix(circ), circuit_matrix(dressed), rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))

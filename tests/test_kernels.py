@@ -21,7 +21,7 @@ from qgansim.statevec import (
 )
 
 _I = np.eye(2)
-_ONE = np.diag([0.0, 1.0])  # |1><1|
+_PROJ = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # |0><0|, |1><1|
 
 
 def _unit(i, j):
@@ -31,22 +31,23 @@ def _unit(i, j):
     return e
 
 
-def _full_matrix(n, gate, targets, controls):
+def _full_matrix(n, gate, targets, controls, values=None):
     """The 2^n x 2^n matrix of `gate` on `targets`, conditioned on `controls`.
 
     Written as I - P + sum_{g,h} gate[g, h] |g><h|_targets (x) P_controls,
-    with P the projector onto every control reading 1 and qubit 0 the
-    leftmost Kronecker factor.
+    with P the projector (x)|v><v| onto every control reading its value v
+    (1 unless `values` gives one) and qubit 0 the leftmost Kronecker factor.
     """
     k = len(targets)
+    value = dict(zip(controls, values if values is not None else [1] * len(controls)))
 
     def factors(g, h):
-        out = [_ONE if q in controls else _I for q in range(n)]
+        out = [_PROJ[value[q]] if q in value else _I for q in range(n)]
         for i, q in enumerate(targets):
             out[q] = _unit((g >> (k - 1 - i)) & 1, (h >> (k - 1 - i)) & 1)
         return out
 
-    proj = reduce(np.kron, [_ONE if q in controls else _I for q in range(n)])
+    proj = reduce(np.kron, [_PROJ[value[q]] if q in value else _I for q in range(n)])
     full = np.eye(2**n) - proj
     for g in range(2**k):
         for h in range(2**k):
@@ -56,6 +57,11 @@ def _full_matrix(n, gate, targets, controls):
 
 def _cmask(n, controls):
     return sum(1 << (n - 1 - c) for c in controls)
+
+
+def _zeros(n, controls, values):
+    # The kernel's mask of the controls that condition on 0.
+    return _cmask(n, [c for c, v in zip(controls, values) if not v])
 
 
 _CASES = [
@@ -74,7 +80,8 @@ def _random_case(n, k, c):
     targets, controls = tuple(wires[:k]), tuple(wires[k : k + c])
     if k > 1 and targets == tuple(sorted(targets)):
         targets = targets[::-1]  # keep every multi-qubit case out of order
-    return rng, amps, targets, controls
+    values = tuple(int(v) for v in rng.integers(0, 2, c))
+    return rng, amps, targets, controls, values
 
 
 @pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 1])
@@ -83,12 +90,15 @@ def test_dense_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
     # block_qubits=1 splits every gate into one sub-view per free-qubit
     # assignment, the path 2^20-amplitude registers take.
     monkeypatch.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
-    rng, amps, targets, controls = _random_case(n, k, c)
+    rng, amps, targets, controls, values = _random_case(n, k, c)
     mat, _ = np.linalg.qr(
         rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
     )
-    expected = _full_matrix(n, mat, targets, controls) @ amps
-    _kernels.apply_dense(amps, np.ascontiguousarray(mat), targets, n, _cmask(n, controls))
+    expected = _full_matrix(n, mat, targets, controls, values) @ amps
+    _kernels.apply_dense(
+        amps, np.ascontiguousarray(mat), targets, n, _cmask(n, controls),
+        zeros=_zeros(n, controls, values),
+    )
     assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
 
@@ -155,18 +165,20 @@ _DIAG_CASES = _CASES + [(n, 4, c) for n in range(4, 8) for c in range(0, min(n -
 
 @pytest.mark.parametrize("n,k,c", _DIAG_CASES)
 def test_diag_matches_kronecker_matrix(n, k, c):
-    rng, amps, targets, controls = _random_case(n, k, c)
+    rng, amps, targets, controls, values = _random_case(n, k, c)
     diag = np.exp(2j * np.pi * rng.uniform(size=2**k))
     diag[rng.permutation(2**k)[: 2 ** (k - 1)]] = 1.0  # entries the kernel skips
-    expected = _full_matrix(n, np.diag(diag), targets, controls) @ amps
-    _kernels.apply_diag(amps, diag, targets, n, _cmask(n, controls))
+    expected = _full_matrix(n, np.diag(diag), targets, controls, values) @ amps
+    _kernels.apply_diag(amps, diag, targets, n, _cmask(n, controls), zeros=_zeros(n, controls, values))
     assert_allclose(amps, expected, rtol=0, atol=1e-12)
 
 
 def test_cases_cover_unordered_targets_and_controls():
     seen = [_random_case(n, k, c)[2:] for n, k, c in _CASES]
-    assert any(list(t) != sorted(t) for t, _ in seen)
-    assert {len(ctrl) for _, ctrl in seen} == {0, 1, 2}
+    assert any(list(t) != sorted(t) for t, _, _ in seen)
+    assert {len(ctrl) for _, ctrl, _ in seen} == {0, 1, 2}
+    # Open controls, closed ones and both under one gate.
+    assert {values for _, _, values in seen} >= {(0,), (1,), (0, 1), (1, 0)}
 
 
 def test_diag_leaves_unit_entries_untouched():
@@ -204,29 +216,29 @@ def _perm_matrix(perm):
 @pytest.mark.parametrize("n,k,c", _CASES)
 def test_perm_matches_kronecker_matrix(n, k, c, block_qubits, monkeypatch):
     monkeypatch.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
-    rng, amps, targets, controls = _random_case(n, k, c)
+    rng, amps, targets, controls, values = _random_case(n, k, c)
     perm = rng.permutation(2**k)
     while np.array_equal(perm, np.arange(2**k)):
         perm = rng.permutation(2**k)
     mat = _perm_matrix(perm).astype(np.complex128)
-    assert _kernels._permutation(mat) == perm.tolist()
-    expected = _full_matrix(n, mat, targets, controls) @ amps
-    _kernels.apply_dense(amps, mat, targets, n, _cmask(n, controls))
-    # Amplitudes are moved, not computed: the result is exact.
+    expected = _full_matrix(n, mat, targets, controls, values) @ amps
+    _kernels.apply_dense(amps, mat, targets, n, _cmask(n, controls), zeros=_zeros(n, controls, values))
+    # Each output is one amplitude times 1 plus zeros: the product is exact.
     assert_allclose(amps, expected, rtol=0, atol=0)
 
 
 def test_a_fused_permutation_is_moved_exactly():
     # SWAP X SWAP on wires (0, 1) is X on wire 1: fused, the three ops make
-    # one permutation matrix, which moves amplitudes. run_circuit keeps the
-    # SWAPs in its wire frame instead and moves X on wire 1.
+    # exactly that 0/1 matrix, whose product moves amplitudes exactly.
+    # run_circuit keeps the SWAPs in its wire frame instead and multiplies
+    # by X on wire 1.
     rng = np.random.default_rng(7)
     for n in (2, 3, 5):
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = StateVector(n, amps / np.linalg.norm(amps))
         ops = (CircuitOp(swap(), (0, 1)), CircuitOp(pauli_x(), (0,)), CircuitOp(swap(), (0, 1)))
         [(run, wires)] = statevec._groups(statevec._wire_ops(ops))
-        assert _kernels._permutation(statevec._matrix(run, wires)) == [1, 0, 3, 2]
+        assert np.array_equal(statevec._matrix(run, wires), np.kron(_I, pauli_x().entries))
         out = run_circuit(QuantumCircuit(n, ops), state)
         expected = state.amps.reshape(2, 2, -1)[:, ::-1].reshape(-1)
         assert np.array_equal(out.amps, expected)
@@ -249,7 +261,6 @@ def test_a_matrix_that_is_no_permutation_is_multiplied(mat):
     # 0/1 matrices with a zero column, a repeated row, or an entry that is
     # not 1: the kernel returns and matches the full matrix, as a product.
     mat = np.asarray(mat, dtype=np.complex128)
-    assert _kernels._permutation(mat) is None
     k = len(mat).bit_length() - 1
     for n, targets, controls in ((k, tuple(range(k)), ()), (k + 2, tuple(range(k + 1, 0, -1))[:k], (0,))):
         rng = np.random.default_rng(n)
@@ -260,12 +271,12 @@ def test_a_matrix_that_is_no_permutation_is_multiplied(mat):
 
 
 def test_the_identity_is_multiplied():
-    # Moving nothing would keep a -0.0 amplitude that the product
-    # 1 * (-0.0) + 0 * x turns into +0.0: the identity stays a product.
-    assert _kernels._permutation(np.eye(4, dtype=np.complex128)) is None
-    amps = np.array([-0.0, 1.0], dtype=np.complex128)
-    _kernels.apply_dense(amps, np.eye(2, dtype=np.complex128), (0,), 1, 0)
-    assert not np.signbit(amps.real[0])
+    # Moving amplitudes would keep a -0.0 that the product 1 * (-0.0) + 0 * x
+    # turns into +0.0: the identity and X are both products.
+    for mat, amps in ((np.eye(2), [-0.0, 1.0]), (pauli_x().entries, [1.0, -0.0])):
+        amps = np.array(amps, dtype=np.complex128)
+        _kernels.apply_dense(amps, np.asarray(mat, dtype=np.complex128), (0,), 1, 0)
+        assert not np.signbit(amps.real[0])
 
 
 def _permute_cases():

@@ -64,7 +64,7 @@ def embedded_matrix(op, num_qubits):
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
         bits = [(col >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-        if not all(bits[c] for c in op.controls):
+        if any(bits[c] != v for c, v in zip(op.controls, op.control_values)):
             mat[col, col] = 1.0
             continue
         t_in = 0
@@ -232,13 +232,11 @@ def test_factories_build_the_form_the_kernel_reads():
     for gate, ndim in cases:
         assert gate.entries.ndim == ndim, gate
         assert gate.entries.shape == (2**gate.arity,) * ndim
-    # X and SWAP are exact 0/1 permutation matrices, which the kernel
-    # applies by moving slices.
+    # X and SWAP are exact 0/1 permutation matrices; run_circuit tells an
+    # uncontrolled SWAP by value.
     assert np.array_equal(pauli_x().entries, [[0, 1], [1, 0]])
     assert np.array_equal(swap().entries, np.eye(4)[:, [0, 2, 1, 3]])
-    assert _kernels._permutation(pauli_x().entries) == [1, 0]
-    assert _kernels._permutation(swap().entries) == [0, 2, 1, 3]
-    assert _kernels._permutation(hadamard().entries) is None
+    assert swap() == statevec._SWAP
     # A controlled phase is a one-qubit diagonal under a control.
     assert_allclose(diagonal([0.0, 0.25]).entries, [1, 1j], atol=1e-15)
     # The width cap is the state's, not a dense matrix's.
@@ -259,6 +257,13 @@ def test_gates_compare_and_hash_by_value():
     assert CircuitOp(swap(), (0, 2), (1,)) == CircuitOp(swap(), (0, 2), (1,))
     assert CircuitOp(swap(), (0, 2)) != CircuitOp(swap(), (2, 0))
     assert hash(CircuitOp(ry(0.5), (1,))) == hash(CircuitOp(ry(0.5), (1,)))
+    # Controls on 1 compare equal however the default is spelled; an open
+    # control makes another op.
+    closed = CircuitOp(ry(0.5), (1,), (0, 2))
+    spelled = CircuitOp(ry(0.5), (1,), (0, 2), (1, 1))
+    assert closed == spelled == CircuitOp(ry(0.5), (1,), (0, 2), [1, 1])
+    assert hash(closed) == hash(spelled)
+    assert closed != CircuitOp(ry(0.5), (1,), (0, 2), (1, 0))
     assert qft_circuit(5) == qft_circuit(5)
 
 
@@ -303,6 +308,41 @@ def test_circuit_op_validation():
         CircuitOp(pauli_x(), (-1,))
 
 
+@pytest.mark.parametrize(
+    "targets, controls, values, key",
+    [
+        ((1.7,), (), None, "targets"),
+        ((True,), (), None, "targets"),
+        (("1",), (), None, "targets"),
+        ((-1,), (), None, "targets"),
+        ((0,), (0.5,), None, "controls"),
+        ((0,), (False,), None, "controls"),
+        ((0,), ("1",), None, "controls"),
+        ((0,), (-2,), None, "controls"),
+        ((0,), (1,), (0.5,), "control_values"),
+        ((0,), (1,), (True,), "control_values"),
+        ((0,), (1,), (2,), "control_values"),
+        ((0,), (1,), (-1,), "control_values"),
+        ((0,), (1,), (1, 0), "control_values"),
+        ((0,), (1, 2), (1,), "control_values"),
+        ((0,), (), (0,), "control_values"),
+    ],
+)
+def test_circuit_op_refuses_wires_and_values_that_are_no_integers_in_range(
+    targets, controls, values, key
+):
+    # Each is refused naming its field, not truncated by int(): 1.7, True
+    # and "1" would each become wire 1, and a value of 0.5 a control on 0.
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        CircuitOp(pauli_x(), targets, controls, values)
+
+
+def test_circuit_op_takes_numpy_integers():
+    op = CircuitOp(pauli_x(), (np.int64(2),), np.array([0, 1]), np.array([0, 1]))
+    assert op == CircuitOp(pauli_x(), (2,), (0, 1), (0, 1))
+    assert all(type(q) is int for q in op.targets + op.controls + op.control_values)
+
+
 def test_circuit_rejects_out_of_range_op():
     with pytest.raises(ValueError):
         QuantumCircuit(1, (CircuitOp(pauli_x(), (1,)),))
@@ -318,11 +358,7 @@ def test_apply_op_matches_embedded_matrix_oracle():
         )
         wires = rng.permutation(n)
         n_ctrl = int(rng.integers(0, n - k + 1))
-        op = CircuitOp(
-            UnitaryGate(q),
-            tuple(int(w) for w in wires[:k]),
-            tuple(int(w) for w in wires[k : k + n_ctrl]),
-        )
+        op = CircuitOp(UnitaryGate(q), wires[:k], wires[k : k + n_ctrl], rng.integers(0, 2, n_ctrl))
         state = random_state(rng, n)
         assert_allclose(
             apply_op(state, op).amps,
@@ -461,11 +497,12 @@ def test_inner_conjugates_left_argument():
 
 
 def test_shift_circuit_moves_all_wires():
-    circ = QuantumCircuit(2, (CircuitOp(pauli_x(), (1,), (0,)),))
-    wide = shift_circuit(circ, 1, 3)
-    assert wide.num_qubits == 3
+    circ = QuantumCircuit(3, (CircuitOp(pauli_x(), (1,), (0, 2), (0, 1)),))
+    wide = shift_circuit(circ, 1, 4)
+    assert wide.num_qubits == 4
     assert wide.ops[0].targets == (2,)
-    assert wide.ops[0].controls == (1,)
+    assert wide.ops[0].controls == (1, 3)
+    assert wide.ops[0].control_values == (0, 1)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -502,7 +539,8 @@ def test_circuit_matrix_is_unitary(seed):
 
 
 def _random_op(rng, n):
-    """A random dense, diagonal or permutation op, with or without controls."""
+    """A random dense, diagonal or permutation op, with or without controls,
+    each conditioned on a random value."""
     while True:
         kind = int(rng.integers(0, 7))
         if kind == 0:
@@ -528,7 +566,8 @@ def _random_op(rng, n):
     wires = [int(w) for w in rng.permutation(n)]
     least = int(kind == 2 and n > gate.arity)
     n_ctrl = int(rng.integers(least, n - gate.arity + 1))
-    return CircuitOp(gate, tuple(wires[: gate.arity]), tuple(wires[gate.arity :][:n_ctrl]))
+    values = rng.integers(0, 2, n_ctrl)
+    return CircuitOp(gate, tuple(wires[: gate.arity]), tuple(wires[gate.arity :][:n_ctrl]), values)
 
 
 @pytest.mark.parametrize("block_qubits", [_kernels._BLOCK_QUBITS, 2])
@@ -537,7 +576,7 @@ def _random_op(rng, n):
 @settings(max_examples=60, deadline=None)
 def test_run_circuit_matches_op_by_op_application(block_qubits, fuse_qubits, seed):
     # block_qubits=2 splits diagonal groups after two qubits and applies
-    # dense and permutation gates in sub-views of four amplitudes;
+    # dense gates in sub-views of four amplitudes;
     # fuse_qubits=1 fuses only ops on one and the same qubit.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
@@ -576,9 +615,9 @@ def test_groups_fuse_ops_that_commute_into_place():
         mp.setattr(_kernels, "_FUSE_QUBITS", 3)
         groups = statevec._groups(statevec._wire_ops([h0, h1, cz, h5]))
     assert [[(t, c) for _, t, c in run] for run, _ in groups] == [
-        [((0,), ()), ((1,), ())],
-        [((5,), (0, 6))],
-        [((5,), ())],
+        [((0,), {}), ((1,), {})],
+        [((5,), {0: 1, 6: 1})],
+        [((5,), {})],
     ]
 
 
@@ -614,9 +653,10 @@ def test_swap_circuits_return_the_permuted_input_exactly(n):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_run_circuit_with_swaps_matches_circuit_matrix(block_qubits, tile_qubits, seed):
-    # Uncontrolled SWAPs go into the wire frame, controlled ones are moved
-    # at once; after each uncontrolled SWAP comes an op with one of its
-    # targets or controls on a swapped wire. block_qubits=2 and
+    # Uncontrolled SWAPs go into the wire frame, controlled ones are
+    # multiplied at once; after each uncontrolled SWAP comes an op, its
+    # controls on random values, with one of its targets or controls on a
+    # swapped wire. block_qubits=2 and
     # tile_qubits=1 split every kernel pass and every frame pass into the
     # smallest pieces.
     rng = np.random.default_rng(seed)
@@ -630,7 +670,7 @@ def test_run_circuit_with_swaps_matches_circuit_matrix(block_qubits, tile_qubits
         pick, onto = wires[int(rng.integers(0, len(wires)))], (a, b)[int(rng.integers(0, 2))]
         relabel = {pick: onto, onto: pick}
         targets, controls = (tuple(relabel.get(q, q) for q in w) for w in (op.targets, op.controls))
-        ops.append(CircuitOp(op.gate, targets, controls))
+        ops.append(CircuitOp(op.gate, targets, controls, op.control_values))
     circuit = QuantumCircuit(n, tuple(ops))
     state = random_state(rng, n)
     with pytest.MonkeyPatch.context() as mp:
