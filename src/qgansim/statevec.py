@@ -12,6 +12,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -223,6 +224,11 @@ def _wire_ops(ops):
     return [(op.gate.entries, op.targets, dict(zip(op.controls, op.control_values))) for op in ops]
 
 
+def _touched(op):
+    # The wires an (entries, targets, controls) op acts on or reads.
+    return set(op[1]) | set(op[2])
+
+
 def _groups(ops):
     # The (entries, targets, controls) ops in groups that run_circuit
     # applies in one pass each, as (ops, sorted touched qubits) pairs. An op
@@ -231,12 +237,12 @@ def _groups(ops):
     # qubits, which commute with it. An all-diagonal group spans at most
     # _kernels._BLOCK_QUBITS qubits. Any other group of two or more ops spans
     # a sorted run of at most _kernels._FUSE_QUBITS wires, so that its fused
-    # matrix takes the kernel's span path.
+    # matrix takes the kernel's span path. Last, each run of adjacent
+    # all-diagonal groups is repacked (_repack).
     groups, last = [], {}
     for op in ops:
-        entries, targets, controls = op
-        touched = set(targets) | set(controls)
-        diag = entries.ndim == 1
+        touched = _touched(op)
+        diag = op[0].ndim == 1
         g = max(last.get(q, 0) for q in touched)
         while g < len(groups):
             run, wires, all_diag = groups[g]
@@ -254,7 +260,32 @@ def _groups(ops):
         groups[g][1] |= touched
         groups[g][2] &= diag
         last.update(dict.fromkeys(touched, g))
-    return [(run, sorted(wires)) for run, wires, _ in groups]
+    out = []
+    for all_diag, run in itertools.groupby(groups, key=lambda group: group[2]):
+        run = list(run)
+        out += _repack(run) if all_diag and len(run) > 1 else run
+    return [(run, sorted(wires)) for run, wires, _ in out]
+
+
+def _repack(groups):
+    # Adjacent all-diagonal groups: their ops commute, so they may be pooled
+    # and packed again, first-fit, into as few groups of at most
+    # _kernels._BLOCK_QUBITS wires as fit. The pool is sorted by each op's
+    # wires from the highest down, compared lexicographically, so ops on
+    # low wires fill the first groups. The repacking is kept only when it
+    # makes fewer groups: first-fit is not optimal for every circuit.
+    pool = [op for run, _, _ in groups for op in run]
+    pool.sort(key=lambda op: sorted(_touched(op), reverse=True))
+    folds = []
+    for op in pool:
+        touched = _touched(op)
+        fold = next((f for f in folds if len(f[1] | touched) <= _kernels._BLOCK_QUBITS), None)
+        if fold is None:
+            fold = [[], set(), True]
+            folds.append(fold)
+        fold[0].append(op)
+        fold[1] |= touched
+    return folds if len(folds) < len(groups) else groups
 
 
 def _compose(ops, wires, amps: np.ndarray) -> np.ndarray:
@@ -282,6 +313,23 @@ def apply_op(state: StateVector, op: CircuitOp) -> StateVector:
     return run_circuit(QuantumCircuit(state.num_qubits, (op,)), state)
 
 
+def _plan(circuit: QuantumCircuit):
+    # The groups run_circuit applies and its final wire frame `where`
+    # (logical wire -> axis of the amplitudes): an uncontrolled SWAP only
+    # exchanges two entries of the frame, and every other op is mapped
+    # through it into an (entries, targets, controls) triple.
+    where, ops = list(range(circuit.num_qubits)), []
+    for op in circuit.ops:
+        if not op.controls and op.gate == _SWAP:
+            a, b = op.targets
+            where[a], where[b] = where[b], where[a]
+        else:
+            targets = tuple(where[q] for q in op.targets)
+            controls = {where[q]: v for q, v in zip(op.controls, op.control_values)}
+            ops.append((op.gate.entries, targets, controls))
+    return _groups(ops), where
+
+
 def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     """Left-to-right composition of the circuit's ops.
 
@@ -291,25 +339,19 @@ def run_circuit(circuit: QuantumCircuit, input: StateVector) -> StateVector:
     place, and not at all when it is the identity. The other ops are
     applied in groups, one pass over the state each: an op may move ahead
     of ops on other qubits (with which it commutes) to join an earlier
-    group. A group of diagonal ops is folded into one diagonal over up to
-    14 qubits; any other group of several ops, on a sorted run of up to 3
-    wires, is multiplied into one dense gate. Only rounding differs from
-    applying the ops one at a time.
+    group, and the diagonal ops between two dense groups, which all
+    commute, are repacked first-fit when that makes fewer groups. A group
+    of diagonal ops is folded into one diagonal over up to 14 qubits; any
+    other group of several ops, on a sorted run of up to 3 wires, is
+    multiplied into one dense gate. Only rounding differs from applying
+    the ops one at a time.
     """
     if circuit.num_qubits != input.num_qubits:
         raise ValueError("circuit and state widths differ")
     n = circuit.num_qubits
+    groups, where = _plan(circuit)
     amps = input.amps.copy()
-    where, ops = list(range(n)), []
-    for op in circuit.ops:
-        if not op.controls and op.gate == _SWAP:
-            a, b = op.targets
-            where[a], where[b] = where[b], where[a]
-        else:
-            targets = tuple(where[q] for q in op.targets)
-            controls = {where[q]: v for q, v in zip(op.controls, op.control_values)}
-            ops.append((op.gate.entries, targets, controls))
-    for run, wires in _groups(ops):
+    for run, wires in groups:
         if len(run) == 1:
             _compose(run, range(n), amps)
         elif all(entries.ndim == 1 for entries, _, _ in run):

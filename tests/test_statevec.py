@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from qgansim import _kernels, statevec
 from qgansim.fourier import qft_circuit, qft_matrix
+from qgansim.phase_estimation import qpe_circuit, qpe_distribution
 from qgansim.statevec import (
     MAX_QUBITS,
     CircuitOp,
@@ -620,6 +621,139 @@ def test_groups_fuse_ops_that_commute_into_place():
         [((5,), {})],
     ]
 
+
+def _plan_blocks(circuit):
+    # The wires of run_circuit's dense groups and of its diagonal groups.
+    groups, _ = statevec._plan(circuit)
+    dense = [wires for run, wires in groups if any(e.ndim == 2 for e, _, _ in run)]
+    folds = [(len(run), wires) for run, wires in groups if all(e.ndim == 1 for e, _, _ in run)]
+    return dense, folds
+
+
+def _n20_sweeps():
+    # statevec-n20's RY layer and controlled-phase sweep.
+    ry_layer = QuantumCircuit(20, tuple(CircuitOp(ry(0.1 * q), (q,)) for q in range(20)))
+    sweep = tuple(CircuitOp(diagonal([0.0, 0.1 * q]), (q + 1,), (q,)) for q in range(19))
+    return ry_layer, QuantumCircuit(20, sweep)
+
+
+@pytest.mark.parametrize(
+    "make, dense, folds",
+    [
+        (lambda: qft_circuit(15), 5, 5),
+        (lambda: qft_circuit(16), 6, 6),
+        (lambda: qft_circuit(17), 6, 6),
+        (lambda: qft_circuit(18), 6, 7),
+        (lambda: qft_circuit(19), 7, 8),
+        (lambda: qft_circuit(20), 7, 8),
+        (lambda: qpe_circuit([0.0, 0.3], 16), 12, 8),
+        (lambda: qpe_circuit([0.0, 0.3], 19), 14, 10),
+        (lambda: _n20_sweeps()[0], 7, 0),
+        (lambda: _n20_sweeps()[1], 0, 2),
+    ],
+)
+def test_plan_pins_its_passes_over_the_state(make, dense, folds):
+    # Passes do not drift with machine load: the diagonal groups between
+    # two dense ones commute and are repacked into as few folds as fit.
+    got_dense, got_folds = _plan_blocks(make())
+    assert (len(got_dense), len(got_folds)) == (dense, folds)
+    assert all(len(wires) <= _kernels._BLOCK_QUBITS for _, wires in got_folds)
+    assert all(size > 1 for size, _ in got_folds)
+
+
+def test_qft_plan_folds_each_diagonal_run_into_two():
+    dense, folds = _plan_blocks(qft_circuit(20))
+    assert dense == [list(range(q, min(q + 3, 20))) for q in range(0, 20, 3)]
+    # The 51 phases after block [0, 1, 2] and the 42 after [3, 4, 5].
+    assert folds[:4] == [
+        (33, list(range(14))),
+        (18, [0, 1, 2, *range(14, 20)]),
+        (33, list(range(3, 17))),
+        (9, [3, 4, 5, 17, 18, 19]),
+    ]
+
+
+def test_repacking_is_kept_only_when_it_makes_fewer_groups():
+    # First-fit on the sorted pool can lose to circuit order: at two wires
+    # a group it packs {0, 1}, {0, 3} and {1, 4}, where circuit order packs
+    # {0, 3} and {1, 4}.
+    pair, one = diagonal([0.0, 0.1, 0.2, 0.3]), diagonal([0.0, 0.1])
+    ops = [CircuitOp(pair, (0, 3)), CircuitOp(one, (1,)), CircuitOp(one, (0,)), CircuitOp(pair, (1, 4))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_QUBITS", 2)
+        groups = statevec._groups(statevec._wire_ops(ops))
+    assert [wires for _, wires in groups] == [[0, 3], [1, 4]]
+
+def _mostly_diagonal_op(rng, n):
+    """Four in five ops diagonal, over 1-3 targets, one the most likely;
+    the rest an H or an RY. Each takes up to two controls on random values."""
+    if rng.random() < 0.8:
+        arity = min(n, int(rng.choice([1, 1, 1, 2, 2, 3])))
+        gate = diagonal(rng.uniform(0, 1, 2**arity))
+    else:
+        gate = [hadamard(), ry(float(rng.uniform(0, 7)))][int(rng.integers(0, 2))]
+    wires = [int(w) for w in rng.permutation(n)]
+    n_ctrl = int(rng.integers(0, min(2, n - gate.arity) + 1))
+    values = rng.integers(0, 2, n_ctrl)
+    return CircuitOp(gate, tuple(wires[: gate.arity]), tuple(wires[gate.arity :][:n_ctrl]), values)
+
+
+@pytest.mark.parametrize("block_qubits", [2, 3, _kernels._BLOCK_QUBITS])
+@pytest.mark.parametrize("fuse_qubits", [1, _kernels._FUSE_QUBITS])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_repacked_diagonal_runs_match_op_by_op_application(block_qubits, fuse_qubits, seed):
+    # block_qubits 2 and 3 cut diagonal groups short, so that their runs
+    # are repacked at small widths.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    ops = tuple(_mostly_diagonal_op(rng, n) for _ in range(int(rng.integers(1, 40))))
+    circuit = QuantumCircuit(n, ops)
+    state = random_state(rng, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+        mp.setattr(_kernels, "_FUSE_QUBITS", fuse_qubits)
+        expected = state
+        for op in circuit.ops:
+            expected = apply_op(expected, op)
+        out = run_circuit(circuit, state)
+    assert_allclose(out.amps, expected.amps, rtol=0, atol=1e-12)
+    assert_allclose(out.amps, circuit_matrix(circuit) @ state.amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_qubits", [2, 3, _kernels._BLOCK_QUBITS])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_plan_holds_each_op_once_and_no_dense_op_moves_past_its_wires(block_qubits, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    ops = statevec._wire_ops(_mostly_diagonal_op(rng, n) for _ in range(int(rng.integers(1, 40))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_QUBITS", block_qubits)
+        groups = statevec._groups(ops)
+    applied = [op for run, _ in groups for op in run]
+    position = {id(op): p for p, op in enumerate(applied)}
+    assert len(applied) == len(ops) and position.keys() == set(map(id, ops))
+    for run, wires in groups:
+        assert wires == sorted(set().union(*map(statevec._touched, run)))
+        if len(run) > 1 and all(e.ndim == 1 for e, _, _ in run):
+            assert len(wires) <= block_qubits
+    # Diagonal ops commute with each other; any pair with a dense op that
+    # shares a wire keeps its circuit order.
+    for i, a in enumerate(ops):
+        for b in ops[i + 1 :]:
+            if (a[0].ndim == 2 or b[0].ndim == 2) and statevec._touched(a) & statevec._touched(b):
+                assert position[id(a)] < position[id(b)]
+
+
+def test_widest_inverse_qft_peaks_at_the_closed_form_probability():
+    # Phase 0.3 on 19 ancillas: the outcome nearest 0.3 * 2^19 = 157286.4,
+    # with the Fejer weight of its distance 0.4.
+    dist = qpe_distribution([0.0, 0.3], basis_ket(1, 1), 19)
+    best = int(np.argmax(dist))
+    want = np.sin(0.4 * np.pi) ** 2 / (2**38 * np.sin(0.4 * np.pi / 2**19) ** 2)
+    assert best == 157286
+    assert abs(dist[best] - want) <= 1e-9
 
 def _swap_sequence(rng, n):
     # A random wire permutation as a list of wire pairs to swap in turn.
