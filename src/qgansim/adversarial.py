@@ -35,12 +35,13 @@ _TRACE_BUDGET_BYTES = 2**30
 # step labels 2n weight probes, each descent step generates one state per
 # shift-rule probe, 2^n entries each). Fitted to train() timings on a
 # 2-core x86 machine, numpy 2.4 on one BLAS thread, within a factor of
-# 0.6-1.3 from n = 1 to 12: a step took 20-28 us at n = 1 and 2 (2e4
-# ascent steps in 0.42 s), an entry 44-86 ns at n = 8 to 12 (an n = 12
-# epoch of the defaults in 83 ms). A run modelled past half an hour is
-# refused; the defaults pass up to n = 17.
+# 0.6-1.3 from n = 1 to 12: a step took 24-26 us at n = 1 and 2 (2e4
+# steps in 0.47-0.51 s), an entry 29-64 ns at n = 8 to 12 (an n = 12
+# epoch of the defaults in 50-61 ms, one with n_d = 1 and n_g = 9 in
+# 190-266 ms). A run modelled past half an hour is refused; the defaults
+# pass up to n = 17.
 _STEP_NS = 25_000
-_ENTRY_NS = 60
+_ENTRY_NS = 50
 _RUN_BUDGET_NS = 1800 * 10**9
 
 # Bounds under which no training step overflows: a weight gradient is at
@@ -144,6 +145,22 @@ class TrainTrace:
 
 def _gen_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     return generate_amps(n, thetas[None, :])[0]
+
+
+def _state_and_probes(n: int, thetas: np.ndarray, offsets: np.ndarray) -> tuple:
+    # The state at thetas and its shift-rule probes from one generator call.
+    # Rows do not depend on the batch, so each has the bits of its own call.
+    # Row 0 is copied out, so that dropping the probes frees the batch.
+    states = generate_amps(n, np.vstack([thetas, thetas + offsets]))
+    return states[0].copy(), states[1:]
+
+
+def _closeness(target, target_sv, gen) -> tuple:
+    # Fidelity, KL divergence and trace distance of the generated amplitudes.
+    # Its StateVector is freed on return, before the next generator call.
+    gen_sv = StateVector(target.n_qubits, gen)
+    fid = fidelity(target_sv, gen_sv)
+    return fid, kl_divergence(target, gen_sv), _trace_distance(fid)
 
 
 def _check_instance(theta, w, target):
@@ -256,11 +273,9 @@ def _grad_w_raw(fast, wvec, probs, estimate, step) -> np.ndarray:
     return (s[:, 0] - s[:, 1]) / (2.0 * step)
 
 
-def _grad_theta_raw(n, thetas, r, p_t, estimate, rule) -> np.ndarray:
-    # One batch of shifted generators, all labelled by the same r(w); the
-    # target's P(Real) is p_t = t_probs @ r.
-    offsets, weights = rule
-    probes = generate_amps(n, thetas + offsets)
+def _grad_theta_raw(probes, r, p_t, estimate, weights) -> np.ndarray:
+    # The amplitudes of every shift-rule probe, one row each, all labelled
+    # by the same r(w); the target's P(Real) is p_t = t_probs @ r.
     return weights @ estimate(p_t, probes**2 @ r)
 
 
@@ -278,7 +293,9 @@ def grad_theta(
     n = _check_instance(theta, w, target)
     r = FastDiscriminator(cfg, n).label_probs(w.w)
     p_t = np.abs(target.amps) ** 2 @ r
-    return _grad_theta_raw(n, theta.thetas, r, p_t, _exact_scores, _shift_rule(n))
+    offsets, weights = _shift_rule(n)
+    probes = generate_amps(n, theta.thetas + offsets)
+    return _grad_theta_raw(probes, r, p_t, _exact_scores, weights)
 
 
 def grad_w(
@@ -415,7 +432,7 @@ def train(
     t_amps = target_sv.amps
     t_probs = np.abs(t_amps) ** 2
     estimate = _exact_scores if cfg.shots == 0 else _sampled_scores(rng, cfg.shots)
-    rule = _shift_rule(n)
+    offsets, weights = _shift_rule(n)
 
     e = cfg.epochs
     scores, fids, kls, tds = np.empty((4, e))
@@ -425,7 +442,9 @@ def train(
     # Born probabilities of the target and the generated state, as columns.
     probs = np.empty((2**n, 2))
     probs[:, 0] = t_probs
-    gen = _gen_amps(n, thetas)
+    # One generator call per epoch gives the state and the probes of the
+    # next epoch's first descent step; later steps generate their own.
+    gen, probes = _state_and_probes(n, thetas, offsets)
     needs_restart = False
     for epoch in range(e):
         gen_probs = gen**2
@@ -438,16 +457,17 @@ def train(
         r = fast.label_probs(wvec)
         p_t = t_probs @ r
         needs_restart = estimate(p_t, gen_probs @ r) <= 0.0
-        for _ in range(cfg.n_g):
-            thetas = thetas - cfg.lr_g * _grad_theta_raw(n, thetas, r, p_t, estimate, rule)
+        for step in range(cfg.n_g):
+            if step:
+                probes = generate_amps(n, thetas + offsets)
+            thetas = thetas - cfg.lr_g * _grad_theta_raw(probes, r, p_t, estimate, weights)
+            # Freed before the next generator call, which may reuse the memory.
+            del probes
 
-        gen = _gen_amps(n, thetas)
-        gen_sv = StateVector(n, gen)
+        gen, probes = _state_and_probes(n, thetas, offsets)
         # p_real reads the r labelled above: wvec has not moved since.
         scores[epoch] = _exact_score(fast, wvec, t_amps, gen)
-        fids[epoch] = fidelity(target_sv, gen_sv)
-        kls[epoch] = kl_divergence(target, gen_sv)
-        tds[epoch] = _trace_distance(fids[epoch])
+        fids[epoch], kls[epoch], tds[epoch] = _closeness(target, target_sv, gen)
         theta_rows[epoch] = thetas
         w_rows[epoch] = wvec
 

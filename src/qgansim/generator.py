@@ -34,7 +34,7 @@ class GeneratorParams:
     thetas: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.thetas, dtype=np.float64)
+        arr = np.array(self.thetas, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("thetas must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
@@ -142,12 +142,14 @@ def generate_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     the second where it is 0. The mixing RYs then act on reshaped slices
     of the full state.
 
-    Every stage writes into buffers made once per call, so no stage
-    allocates, and each amplitude takes its products in gate order, so a
-    row does not depend on the batch. The result is C-contiguous and owns
-    its buffer.
+    The batch is the innermost axis of the work, (2^n, B) with q_0 most
+    significant, so every multiply runs along at least B contiguous values
+    whatever the qubit. Each amplitude takes its products in gate order,
+    so a row does not depend on the batch. The work lives in `out` and in
+    one buffer of twice its size, made once per call, until one transpose
+    writes the C-contiguous (B, 2^n) result, which owns its buffer.
     """
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != num_params(n):
         raise ValueError(
             f"ansatz for n = {n} needs angle sets of shape (B, {num_params(n)}), "
@@ -155,41 +157,41 @@ def generate_amps(n: int, thetas: np.ndarray) -> np.ndarray:
         )
     batch, size = thetas.shape[0], 2**n
     # RY matrix rows [cos, -sin], [sin, cos] of every half angle, each entry a
-    # contiguous (B, P) block: rot[a, s] is entry (a, s), trig[0::2] is (cos, sin).
-    trig = np.empty((4,) + thetas.shape)
-    half = thetas / 2.0
-    np.cos(half, out=trig[0])
-    np.sin(half, out=trig[2])
+    # contiguous (P, B) block: rot[a, s] is entry (a, s), trig[0::2] is (cos, sin).
+    trig = np.empty((4,) + thetas.shape[::-1])
+    np.divide(thetas.T, 2.0, out=trig[3])
+    np.cos(trig[3], out=trig[0])
+    np.sin(trig[3], out=trig[2])
     np.negative(trig[2], out=trig[1])
     trig[3] = trig[0]
-    rot = trig.reshape((2, 2) + thetas.shape)
+    rot = trig.reshape((2, 2) + trig.shape[1:])
     out = np.empty((batch, size))
-    # The cascade alternates between the halves of `work`; each mixing RY
-    # multiplies into all of `work` and adds back into `out`.
-    work = np.empty(2 * batch * size)
-    halves = (work[: batch * size], work[batch * size :])
-    # The cascade holds its qubits newest first, (B, q_(k-1), ..., q_0), so a
-    # stage is one multiply whose inner loop runs along the older qubits.
-    amps = halves[0][: 2 * batch].reshape(batch, 2)
-    np.copyto(amps, trig[0::2, :, 0].T)
+    work = np.empty(2 * size * batch)
+    flat, terms = out.reshape(-1), work.reshape(2, -1)
+    # Stage k appends qubit k - 1, growing (2^(k-2), q_(k-2), B) into
+    # (2^(k-2), q_(k-2), q_(k-1), B). The stages alternate between `out` and
+    # terms[0], so that the last lands in `out` if mixing RYs follow.
+    bufs = (flat, terms[0]) if n > 2 else (terms[0], flat)
+    amps = bufs[(n - 1) % 2][: 2 * batch].reshape(2, batch)
+    np.copyto(amps, trig[0::2, 0])
     for k in range(2, n + 1):
-        # fac[b, t, c]: cos (t = 0) or sin (t = 1) of the pair's angle for
-        # control value c, angle columns 2k - 2 (c = 0) and 2k - 3 (c = 1).
-        fac = trig[0::2, :, 2 * k - 2 : 2 * k - 4 : -1].transpose(1, 0, 2)
-        grown = halves[(k - 1) % 2][: batch * 2**k].reshape(batch, 2, 2, 2 ** (k - 2))
-        np.multiply(amps.reshape(batch, 1, 2, 2 ** (k - 2)), fac[..., None], out=grown)
+        # fac[c, t]: cos (t = 0) or sin (t = 1) of the pair's angle for
+        # control value c, angle rows 2k - 2 (c = 0) and 2k - 3 (c = 1).
+        fac = trig[0::2, 2 * k - 2 : 2 * k - 4 : -1].transpose(1, 0, 2)
+        grown = bufs[(n - k) % 2][: 2**k * batch].reshape(2 ** (k - 2), 2, 2, batch)
+        np.multiply(amps.reshape(2 ** (k - 2), 2, 1, batch), fac, out=grown)
         amps = grown
-    # One copy puts the qubits in order, q_0 most significant.
-    qubits = (batch,) + (2,) * n
-    np.copyto(out.reshape(qubits), amps.reshape(qubits).transpose(0, *range(n, 0, -1)))
     for j in range(n - 2):
-        # Qubit j + 2 as axis s of (s, B, 2^(j+2), rest); terms[a, s] is matrix
-        # entry (a, s) times slice s, and slice a becomes terms[a, 0] + terms[a, 1].
+        # Qubit j + 2 as axis s of (s, 2^(j+2), 1, 2^(n-j-3), B); terms[s, :, a] is
+        # entry (a, s) times slice s, and slice a becomes terms[0, :, a] +
+        # terms[1, :, a], in `out`, or in terms[0] after the last RY.
         # x + (-y) rounds as x - y, so slice 0 is c * zero - s * one bit for bit.
-        view = out.reshape(batch, 2 ** (j + 2), 2, 2 ** (n - j - 3)).transpose(2, 0, 1, 3)
-        terms = work.reshape((2,) + view.shape)
-        np.multiply(rot[:, :, :, 2 * n - 1 + j, None, None], view, out=terms)
-        np.add(terms[:, 0], terms[:, 1], out=view)
+        before, after = 2 ** (j + 2), 2 ** (n - j - 3)
+        view = flat.reshape(before, 2, 1, after, batch).swapaxes(0, 1)
+        entries = rot[:, :, 2 * n - 1 + j].swapaxes(0, 1)[:, None, :, None]
+        np.multiply(view, entries, out=work.reshape(2, before, 2, after, batch))
+        np.add(terms[0], terms[1], out=terms[0] if j == n - 3 else flat)
+    np.copyto(out, terms[0].reshape(size, batch).T)
     return out
 
 

@@ -29,7 +29,7 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.w, dtype=np.float64)
+        arr = np.array(self.w, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):

@@ -62,7 +62,7 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         check_int("n_qubits", self.n_qubits, 1, MAX_QUBITS)
-        arr = np.asarray(self.masses, dtype=np.float64)
+        arr = np.array(self.masses, dtype=np.float64)
         if arr.shape != (2**self.n_qubits,):
             raise ValueError(
                 f"expected {2**self.n_qubits} masses, got shape {arr.shape}"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qgansim.adversarial import _shift_rule
 from qgansim.generator import (
     GeneratorParams,
     build_exact_circuit,
@@ -86,6 +87,15 @@ def test_generator_params_validation():
         GeneratorParams(np.array([np.nan]))
     with pytest.raises(ValueError):
         build_parametric_circuit(2, GeneratorParams(np.array([0.1])))
+
+
+def test_generator_params_freeze_a_copy_of_the_angles():
+    angles = np.array([0.1, 0.2, 0.3])
+    params = GeneratorParams(angles)
+    angles[0] = 1.0  # the caller's array stays writable
+    assert params.thetas[0] == 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        params.thetas[0] = 1.0
 
 
 def test_exact_circuit_loads_targets():
@@ -193,17 +203,19 @@ def test_generate_amps_matches_circuit_on_a_batch():
 
 def test_generate_amps_rows_are_bitwise_single_calls():
     # C order matters: training multiplies probes**2 @ r, and BLAS may round
-    # another layout differently.
+    # another layout differently. Training generates its state and the
+    # shift-rule probes in one batch, the widest below.
     rng = np.random.default_rng(72)
-    for n in range(1, 9):
-        for batch in (1, 3, 110):
-            thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (batch, num_params(n)))
-            amps = generate_amps(n, thetas)
-            assert amps.flags.c_contiguous and amps.dtype == np.float64
-            assert amps.shape == (batch, 2**n)
-            for row in range(0, batch, 37):
-                single = generate_amps(n, thetas[row : row + 1])
-                assert single.tobytes() == amps[row].tobytes()
+    cases = [(n, batch) for n in range(1, 9) for batch in (1, 3, 110)]
+    cases += [(n, batch) for n in range(9, 13) for batch in (1, len(_shift_rule(n)[0]) + 1)]
+    for n, batch in cases:
+        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (batch, num_params(n)))
+        amps = generate_amps(n, thetas)
+        assert amps.flags.c_contiguous and amps.dtype == np.float64
+        assert amps.shape == (batch, 2**n)
+        for row in {*range(0, batch, 37), batch - 1}:
+            single = generate_amps(n, thetas[row : row + 1])
+            assert single.tobytes() == amps[row].tobytes()
 
 
 def test_generate_amps_leaves_earlier_results_and_inputs_alone():

@@ -51,6 +51,15 @@ def test_weight_vector_validation():
     WeightVector(np.array([-1.0, 1.0]))  # closed interval endpoints pass
 
 
+def test_weight_vector_freezes_a_copy_of_the_weights():
+    w = np.array([0.5, -0.5])
+    weights = WeightVector(w)
+    w[0] = 1.0  # the caller's array stays writable
+    assert weights.w[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        weights.w[0] = 1.0
+
+
 def test_encode_input_concatenates_digit_registers():
     state = encode_input([0.75, 0.25], 2)
     # digits 11 and 01 concatenate to index 0b1101 = 13

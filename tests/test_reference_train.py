@@ -36,8 +36,7 @@ def reference_train(cfg, target):
     target_sv = target_state(target)
 
     def state(thetas):
-        # GeneratorParams makes the array it is given read-only: a copy.
-        return generate_state(n, GeneratorParams(thetas.copy()))
+        return generate_state(n, GeneratorParams(thetas))
 
     def label(w, sv):
         # The circuit is defined at any w; a probe w +- s e_j may leave the
@@ -92,10 +91,18 @@ def reference_train(cfg, target):
     return rows, restarts
 
 
-@pytest.mark.parametrize("shots", [0, 200])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_train_follows_the_circuit_level_reference(n, shots):
-    cfg = TrainConfig(n_qubits=n, epochs=4, n_d=2, n_g=1, lr_d=1.0, lr_g=0.5, shots=shots, seed=n)
+# (n, shots, n_g): every width exact and sampled at one descent step, and
+# at two, where train()'s second step of an epoch generates probes of its
+# own and the first reuses those generated with the previous epoch's state.
+_CASES = [(n, shots, 1) for n in (1, 2, 3) for shots in (0, 200)]
+_CASES += [(n, shots, 2) for n in (2, 3) for shots in (0, 200)]
+
+
+@pytest.mark.parametrize(
+    "n, shots, n_g", _CASES, ids=[f"{n}-{s}" + ("" if g == 1 else f"-ng{g}") for n, s, g in _CASES]
+)
+def test_train_follows_the_circuit_level_reference(n, shots, n_g):
+    cfg = TrainConfig(n_qubits=n, epochs=4, n_d=2, n_g=n_g, lr_d=1.0, lr_g=0.5, shots=shots, seed=n)
     target = discretize(DEFAULT_SMILE_PARAMS, n)
     trace = train(cfg, target)
     rows, restarts = reference_train(cfg, target)

@@ -174,6 +174,15 @@ def test_discrete_distribution_validation():
         DiscreteDistribution(2, np.array([0.5, 0.5]))
 
 
+def test_discrete_distribution_freezes_a_copy_of_the_masses():
+    masses = np.array([0.25, 0.75])
+    dist = DiscreteDistribution(1, masses)
+    masses[0] = 1.0  # the caller's array stays writable
+    assert dist.masses[0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        dist.masses[0] = 1.0
+
+
 @pytest.mark.parametrize(
     "masses", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]]
 )
