@@ -34,14 +34,17 @@ _TRACE_BUDGET_BYTES = 2**30
 # cost per ascent or descent step, plus one per probe entry (each ascent
 # step labels 2n weight probes, each descent step generates one state per
 # shift-rule probe, 2^n entries each). Fitted to train() timings on a
-# 2-core x86 machine, numpy 2.4 on one BLAS thread, within a factor of
-# 0.6-1.3 from n = 1 to 12: a step took 24-26 us at n = 1 and 2 (2e4
-# steps in 0.47-0.51 s), an entry 29-64 ns at n = 8 to 12 (an n = 12
-# epoch of the defaults in 50-61 ms, one with n_d = 1 and n_g = 9 in
-# 190-266 ms). A run modelled past half an hour is refused; the defaults
-# pass up to n = 17.
+# 2-core x86 machine, numpy 2.4 on one BLAS thread: a step took 18-20 us
+# at n = 1 and 2 (2e4 steps in 0.37-0.41 s); a contracted ascent entry
+# 12-19 ns at n = 8 to 12 (an ascent step 74 us at n = 8, 1.9 ms at
+# n = 12), a descent entry 21-43 ns. An n = 12 epoch of the defaults took
+# 43-48 ms, one with n_d = 1 and n_g = 9 about 180 ms. Measured runs from
+# n = 1 to 12 took 0.4-1.2x their model, the least a descent-heavy n = 8
+# run. A run modelled past half an hour is refused; the defaults pass up
+# to n = 18.
 _STEP_NS = 25_000
-_ENTRY_NS = 50
+_ASCENT_ENTRY_NS = 20
+_DESCENT_ENTRY_NS = 50
 _RUN_BUDGET_NS = 1800 * 10**9
 
 # Bounds under which no training step overflows: a weight gradient is at
@@ -106,8 +109,8 @@ class TrainConfig:
                 f"epochs = {self.epochs!r} needs {trace_bytes} bytes of trace at "
                 f"n_qubits = {n}, over the {_TRACE_BUDGET_BYTES}-byte budget"
             )
-        ascent = self.n_d * (_STEP_NS + _ENTRY_NS * 2 * n * 2**n)
-        descent = self.n_g * (_STEP_NS + _ENTRY_NS * len(_shift_rule(n)[0]) * 2**n)
+        ascent = self.n_d * (_STEP_NS + _ASCENT_ENTRY_NS * 2 * n * 2**n)
+        descent = self.n_g * (_STEP_NS + _DESCENT_ENTRY_NS * len(_shift_rule(n)[0]) * 2**n)
         cost = self.epochs * (ascent + descent)
         if cost > _RUN_BUDGET_NS:
             # The larger step term, or epochs if they outnumber its steps.
@@ -147,12 +150,13 @@ def _gen_amps(n: int, thetas: np.ndarray) -> np.ndarray:
     return generate_amps(n, thetas[None, :])[0]
 
 
-def _state_and_probes(n: int, thetas: np.ndarray, offsets: np.ndarray) -> tuple:
-    # The state at thetas and its shift-rule probes from one generator call.
+def _state_and_probes(n: int, thetas: np.ndarray, batch: np.ndarray) -> tuple:
+    # The state at thetas, then its shift-rule probes, from one generator call;
+    # `batch` is the offsets table under a zero row, which adds thetas exactly.
     # Rows do not depend on the batch, so each has the bits of its own call.
-    # Row 0 is copied out, so that dropping the probes frees the batch.
-    states = generate_amps(n, np.vstack([thetas, thetas + offsets]))
-    return states[0].copy(), states[1:]
+    # Row 0 is also copied out, so that dropping the batch frees it.
+    states = generate_amps(n, thetas + batch)
+    return states[0].copy(), states
 
 
 def _closeness(target, target_sv, gen) -> tuple:
@@ -179,28 +183,35 @@ def _exact_score(fast, wvec, target_amps, gen_amps) -> float:
     return fast.p_real(wvec, target_amps) - fast.p_real(wvec, gen_amps)
 
 
-# Score estimator without sampling: p_t - p_g, elementwise.
-_exact_scores = np.subtract
+def _exact_scores(pairs: np.ndarray) -> np.ndarray:
+    """Score estimator without sampling: p_t - p_g of each (..., 2) pair."""
+    return pairs[..., 0] - pairs[..., 1]
 
 
 def _sampled_scores(rng, shots):
     """Score estimator from `shots` labelling rounds per probability.
 
-    The Real count of `shots` Bernoulli(p) rounds is Binomial(shots, p),
-    so each count is one binomial draw. Pairs are drawn in order, the
-    target's count before the generated state's.
+    It takes a (..., 2) array of (p_t, p_g) pairs. The Real count of
+    `shots` Bernoulli(p) rounds is Binomial(shots, p), so each count is
+    one binomial draw. Pairs are drawn in order, the target's count before
+    the generated state's.
     """
 
-    def estimate(p_t, p_g):
-        probs = np.empty(np.broadcast_shapes(np.shape(p_t), np.shape(p_g)) + (2,))
-        probs[..., 0] = p_t
-        probs[..., 1] = p_g
+    def estimate(pairs):
         # Rounding can leave a probability just outside [0, 1], which
         # rng.binomial rejects.
-        freq = rng.binomial(shots, probs.clip(0.0, 1.0)) / shots
+        freq = rng.binomial(shots, pairs.clip(0.0, 1.0)) / shots
         return freq[..., 0] - freq[..., 1]
 
     return estimate
+
+
+def _pairs(p_t: float, p_g: np.ndarray) -> np.ndarray:
+    # One (target, generated) pair per generated P(Real), all against p_t.
+    pairs = np.empty((p_g.size, 2))
+    pairs[:, 0] = p_t
+    pairs[:, 1] = p_g
+    return pairs
 
 
 def score(
@@ -231,7 +242,7 @@ def score_sampled(
     p_t = fast.p_real(w.w, target.amps)
     p_g = fast.p_real(w.w, _gen_amps(n, theta.thetas))
     estimate = _sampled_scores(np.random.default_rng(seed), shots)
-    return ScoreValue(float(estimate(p_t, p_g)))
+    return ScoreValue(float(estimate(np.array([p_t, p_g]))))
 
 
 def _shift_rule(n: int) -> tuple:
@@ -266,17 +277,11 @@ def _shift_rule(n: int) -> tuple:
     return offsets, weights
 
 
-def _grad_w_raw(fast, wvec, probs, estimate, step) -> np.ndarray:
-    # Probes by weight, + before -; `probs` columns: target, then generated.
-    p = fast.weight_probes(wvec, step) @ probs
-    s = estimate(p[..., 0], p[..., 1])
+def _grad_w_raw(fast, wvec, weighting, estimate, step) -> np.ndarray:
+    # Probes by weight, + before -, each a (target, generated) pair: the
+    # weighting folds the target's and the generated state's probabilities.
+    s = estimate(fast.weight_probes(wvec, step, weighting))
     return (s[:, 0] - s[:, 1]) / (2.0 * step)
-
-
-def _grad_theta_raw(probes, r, p_t, estimate, weights) -> np.ndarray:
-    # The amplitudes of every shift-rule probe, one row each, all labelled
-    # by the same r(w); the target's P(Real) is p_t = t_probs @ r.
-    return weights @ estimate(p_t, probes**2 @ r)
 
 
 def grad_theta(
@@ -295,7 +300,8 @@ def grad_theta(
     p_t = np.abs(target.amps) ** 2 @ r
     offsets, weights = _shift_rule(n)
     probes = generate_amps(n, theta.thetas + offsets)
-    return _grad_theta_raw(probes, r, p_t, _exact_scores, weights)
+    # Every shift-rule probe's amplitudes, one row each, labelled by r(w).
+    return weights @ _exact_scores(_pairs(p_t, probes**2 @ r))
 
 
 def grad_w(
@@ -313,8 +319,9 @@ def grad_w(
     """
     _check_fd_step(fd_step)
     n = _check_instance(theta, w, target)
-    probs = np.stack([np.abs(target.amps) ** 2, _gen_amps(n, theta.thetas) ** 2], axis=1)
-    return _grad_w_raw(FastDiscriminator(cfg, n), w.w, probs, _exact_scores, fd_step)
+    fast = FastDiscriminator(cfg, n)
+    weighting = fast.probe_weighting((np.abs(target.amps) ** 2, _gen_amps(n, theta.thetas) ** 2))
+    return _grad_w_raw(fast, w.w, weighting, _exact_scores, fd_step)
 
 
 def minmax_gap(
@@ -414,9 +421,19 @@ def train(
 
     Scores inside the game come from one estimator: exact, or with
     shots > 0 the Real frequency of `shots` Bernoulli labelling rounds
-    per probability, drawn as one binomial count. Both gradients hand it
-    their probes: theta's shift-rule probes, and the weight probes
-    w +- fd_step e_j of the central difference (see grad_w).
+    per probability, drawn as one binomial count. It takes (target,
+    generated) pairs of P(Real). Both gradients hand it their probes:
+    theta's shift-rule probes, and the weight probes w +- fd_step e_j of
+    the central difference (see grad_w), labelled contracted: the target's
+    and the generated state's Born probabilities are folded with the bit
+    matrix once an epoch, and each ascent step gives its 2n pairs directly.
+
+    Draw order with shots > 0, per epoch: the fresh weights, if the last
+    decision asked for a restart; each ascent step's probe pairs (by
+    weight, + before -); then one call for the restart decision's pair
+    (the epoch's state) followed by the first descent step's probe pairs;
+    then one call per later descent step. In every pair the target's count
+    comes before the generated state's.
     """
     n = cfg.n_qubits
     if target.n_qubits != n:
@@ -433,38 +450,43 @@ def train(
     t_probs = np.abs(t_amps) ** 2
     estimate = _exact_scores if cfg.shots == 0 else _sampled_scores(rng, cfg.shots)
     offsets, weights = _shift_rule(n)
+    batch = np.vstack([np.zeros(thetas.size), offsets])
 
     e = cfg.epochs
     scores, fids, kls, tds = np.empty((4, e))
     theta_rows = np.empty((e, thetas.size))
     w_rows = np.empty((e, n))
 
-    # Born probabilities of the target and the generated state, as columns.
-    probs = np.empty((2**n, 2))
-    probs[:, 0] = t_probs
     # One generator call per epoch gives the state and the probes of the
     # next epoch's first descent step; later steps generate their own.
-    gen, probes = _state_and_probes(n, thetas, offsets)
+    gen, states = _state_and_probes(n, thetas, batch)
     needs_restart = False
     for epoch in range(e):
-        gen_probs = gen**2
-        probs[:, 1] = gen_probs
         if needs_restart:
             wvec = rng.uniform(-1.0, 1.0, n)
+        # The Born probabilities of the target and the generated state hold
+        # still for the whole ascent, so they are folded with the bit matrix
+        # once; freed before the next generator call.
+        weighting = fast.probe_weighting((t_probs, gen**2))
         for _ in range(cfg.n_d):
-            gw = _grad_w_raw(fast, wvec, probs, estimate, cfg.fd_step)
+            gw = _grad_w_raw(fast, wvec, weighting, estimate, cfg.fd_step)
             wvec = (wvec + cfg.lr_d * gw).clip(-1.0, 1.0)
+        del weighting
         r = fast.label_probs(wvec)
         p_t = t_probs @ r
-        needs_restart = estimate(p_t, gen_probs @ r) <= 0.0
+        # One estimator call: the restart decision's pair (the epoch's state,
+        # row 0 of the batch), then the first descent step's probe pairs.
+        s = estimate(_pairs(p_t, states**2 @ r))
+        needs_restart = s[0] <= 0.0
+        s = s[1:]
+        # Freed before the next generator call, which may reuse the memory.
+        del states
         for step in range(cfg.n_g):
             if step:
-                probes = generate_amps(n, thetas + offsets)
-            thetas = thetas - cfg.lr_g * _grad_theta_raw(probes, r, p_t, estimate, weights)
-            # Freed before the next generator call, which may reuse the memory.
-            del probes
+                s = estimate(_pairs(p_t, generate_amps(n, thetas + offsets) ** 2 @ r))
+            thetas = thetas - cfg.lr_g * (weights @ s)
 
-        gen, probes = _state_and_probes(n, thetas, offsets)
+        gen, states = _state_and_probes(n, thetas, batch)
         # p_real reads the r labelled above: wvec has not moved since.
         scores[epoch] = _exact_score(fast, wvec, t_amps, gen)
         fids[epoch], kls[epoch], tds[epoch] = _closeness(target, target_sv, gen)

@@ -115,8 +115,12 @@ class FastDiscriminator:
     one FFT. It is Re(sum_k (alpha_k - i beta_k) z^k) on a powers table,
     the running product of z = e^(2 i pi t_x / N): one complex exponential
     per product, not one cosine and one sine per frequency. `label_probs`
-    and `weight_probes` both read that table. Agreement with the circuit
-    (label_real_probability) is covered by tests.
+    and `weight_probes` both read that table. The weight probes come
+    contracted: `weight_probes` returns each probe's label probability
+    against a few distributions, not per basis state, and the
+    distributions enter once, folded with the bit matrix by
+    `probe_weighting`.
+    Agreement with the circuit (label_real_probability) is covered by tests.
     """
 
     def __init__(self, cfg: DiscriminatorConfig, n: int):
@@ -129,7 +133,6 @@ class FastDiscriminator:
             (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
         ).astype(np.float64)
         self._half_bits = bits / 2.0
-        self._bit_rows = bits.T[:, None, :]
         size = 2**m2
         # Activation estimation of sigma_b on the m1 register (its inverse
         # QFT is an FFT along the register axis), then the probability c_b
@@ -147,7 +150,7 @@ class FastDiscriminator:
         # With z = e^(omega t), omega = 2 i pi / N: r = a0 + Re(z^k @ coef).
         self._coef = weight * np.fft.fft(readout)[1:]
         self._omega = 2j * np.pi / size
-        self._probe_coefs = (None, None)  # (step, shifted coefficients) last probed
+        self._probe_coefs = (None, None)  # (step, its real series coefficients) last probed
         self._last_r = (None, None)  # ((shape, bytes) of w, its read-only r) last labelled
 
     def _powers(self, w: np.ndarray) -> np.ndarray:
@@ -177,24 +180,50 @@ class FastDiscriminator:
             self._last_r = (key, r)
         return r
 
-    def weight_probes(self, w: np.ndarray, step: float) -> np.ndarray:
-        """Label probabilities r at the probes w + step e_j and w - step e_j.
+    def probe_weighting(self, probs: np.ndarray) -> np.ndarray:
+        """Probability rows folded with the bit matrix, for `weight_probes`.
 
-        Returns shape (n, 2, 2^n) with [j, 0] at w + step e_j, [j, 1] at
-        w - step e_j. Probe w +- s e_j moves t_x by +-s/2 where bit j of x is
-        set, and r(t +- s/2) - r(t) = Re(z^k @ coef (e^(+-i pi k s / N) - 1)):
-        the powers table at t labels every probe, subtracting no nearly equal
-        r. Probes may leave [-1, 1]; r is periodic, the circuit's at any w.
+        `probs` holds c distributions over the data basis states, one per
+        row (shape (c, 2^n)). Returns the (c + n c, 2^n) weighting whose
+        first c rows are the distributions and whose row c + j c + k is bit
+        j of each basis state times distribution k.
+        """
+        rows = np.asarray(probs, dtype=np.float64)
+        out = np.empty((self._half_bits.shape[1] + 1,) + rows.shape)
+        out[0] = rows
+        # Half a bit times a doubled probability is bit times probability, exactly.
+        np.multiply(self._half_bits.T[:, None, :], 2.0 * rows, out=out[1:])
+        return out.reshape(-1, rows.shape[1])
+
+    def weight_probes(self, w: np.ndarray, step: float, weighting: np.ndarray) -> np.ndarray:
+        """The probes w + step e_j and w - step e_j against c distributions.
+
+        `weighting` is `probe_weighting(probs)`. Returns shape (n, 2, c) with
+        [j, 0, k] = r(w + step e_j) . probs[k] and [j, 1, k] at w - step e_j.
+        Probe w +- s e_j moves t_x by +-s/2 where bit j of x is set, and
+        r(t +- s/2) - r(t) = Re(z^k @ coef (e^(+-i pi k s / N) - 1)): the
+        powers table at t gives r and both moves, subtracting no nearly
+        equal r, and the probe against distribution k is r . probs[k] plus
+        bits_j . (move * probs[k]). Probes may leave [-1, 1]; r is
+        periodic, the circuit's at any w.
         """
         if self._probe_coefs[0] != step:
             # e^(+-i h) - 1 = -2 sin^2(h / 2) +- i sin(h), exact at small h.
             h = self._omega.imag * np.arange(1, self._coef.size + 1) * step / 2.0
             shift = -2.0 * np.sin(h / 2.0) ** 2 + 1j * np.sin(h)
-            cols = np.stack([np.ones_like(shift), shift, shift.conj()], axis=1)
-            self._probe_coefs = (step, self._coef[:, None] * cols)
-        series = (self._powers(w) @ self._probe_coefs[1]).real
-        # r(t), then the move of each side where bit j is set.
-        return (self._a0 + series[:, 0]) + self._bit_rows * series[:, 1:].T
+            cols = self._coef[:, None] * np.stack([np.ones_like(shift), shift, shift.conj()], 1)
+            # Re(z^k @ cols) is one real product on the table's float64 view,
+            # (Re z, Im z, Re z^2, ...), with the rows Re cols_k, -Im cols_k.
+            self._probe_coefs = (step, np.stack([cols.real, -cols.imag], 1).reshape(-1, 3))
+        # r(t), then the move of each side; the table is freed on return.
+        series = self._powers(w).view(np.float64) @ self._probe_coefs[1]
+        series[:, 0] += self._a0
+        folded = weighting @ series
+        n = self._half_bits.shape[1]
+        c = folded.shape[0] // (n + 1)
+        moves = folded[c:, 1:].reshape(n, c, 2).transpose(0, 2, 1)
+        # C order: rng.binomial takes another layout's probes several times slower.
+        return np.add(folded[:c, 0], moves, out=np.empty((n, 2, c)))
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
         """P(label Real) for the data register in state `data_amps`."""

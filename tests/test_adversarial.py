@@ -4,6 +4,7 @@ weight gradient's central-difference probes, the sign-aligned initial draw, and 
 train() contract (determinism, shapes, validation, restarts)."""
 
 import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -444,13 +445,13 @@ def test_train_config_bounds_the_trace_and_the_shots(monkeypatch):
 
 
 def test_train_config_bounds_the_work_per_epoch():
-    # The modelled run cost: the defaults pass up to n = 17, and past the
+    # The modelled run cost: the defaults pass up to n = 18, and past the
     # budget the larger step term names its key, or epochs if they
     # outnumber its steps.
-    for n in range(1, 18):
+    for n in range(1, 19):
         TrainConfig(n_qubits=n)
-    with pytest.raises(ValueError, match="^epochs = 300 makes a run of about 1942 s"):
-        TrainConfig(n_qubits=18)
+    with pytest.raises(ValueError, match="^epochs = 300 makes a run of about 2491 s"):
+        TrainConfig(n_qubits=19)
     with pytest.raises(ValueError, match="^epochs = 1000000 "):
         TrainConfig(n_qubits=8, epochs=10**6)
     with pytest.raises(ValueError, match="^n_g = "):
@@ -460,7 +461,7 @@ def test_train_config_bounds_the_work_per_epoch():
         TrainConfig(n_qubits=1, epochs=1, n_d=10**400)
     # 2^27 ascent steps at n = 1 took about an hour before this bound.
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^n_d = 134217728 makes a run of about 3382 s"):
+    with pytest.raises(ValueError, match="^n_d = 134217728 makes a run of about 3366 s"):
         TrainConfig(n_qubits=1, epochs=1, n_d=134217728)
     assert time.perf_counter() - start < 1.0
 
@@ -500,6 +501,37 @@ def test_train_config_defaults():
         TrainConfig(fd_step=0.5)
 
 
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_train_at_twelve_qubits_stays_in_its_memory_budget(shots):
+    # 12.31 MB is the peak measured before the weight probes were
+    # contracted; the probe weighting, 2 + 2n rows of 2^n, may add to it.
+    # A powers table kept past its step (4 MiB at n = 12) breaks the budget.
+    n = 12
+    target = discretize(DEFAULT_SMILE_PARAMS, n)
+    cfg = TrainConfig(n_qubits=n, epochs=3, shots=shots)
+    train(replace(cfg, epochs=1), target)
+    tracemalloc.start()
+    try:
+        train(cfg, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_310_000 + (2 + 2 * n) * 2**n * 8
+
+
+def test_state_and_probes_rows_are_bitwise_their_own_calls():
+    # The angle batch adds thetas to the offsets under a zero row, which
+    # leaves row 0 at thetas exactly.
+    rng = np.random.default_rng(75)
+    for n in (1, 4, 9):
+        thetas = rng.uniform(0.0, np.pi, num_params(n))
+        offsets = adversarial._shift_rule(n)[0]
+        batch = np.vstack([np.zeros(thetas.size), offsets])
+        gen, states = adversarial._state_and_probes(n, thetas, batch)
+        assert gen.tobytes() == states[0].tobytes() == generate_amps(n, thetas[None, :]).tobytes()
+        assert states[1:].tobytes() == generate_amps(n, thetas + offsets).tobytes()
+
+
 def test_train_at_eight_qubits_starts_sign_aligned():
     n = 8
     masses = np.ones(2**n) / 2**n
@@ -507,6 +539,11 @@ def test_train_at_eight_qubits_starts_sign_aligned():
     trace = train(cfg, DiscreteDistribution(n, masses))
     state = generate_state(n, GeneratorParams(trace.thetas[0]))
     assert np.min(state.amps.real) >= -1e-12
+
+
+def pairs_of(p_t, p_g):
+    """The estimator's (..., 2) input: (target, generated) pairs, broadcast."""
+    return np.stack(np.broadcast_arrays(p_t, p_g), -1)
 
 
 def one_pair_at_a_time_scores(rng, shots, p_t, p_g):
@@ -529,7 +566,7 @@ def test_sampled_scores_have_the_distribution_of_bernoulli_rounds(p_t, p_g, seed
     # p_t - p_g and variance (p_t (1 - p_t) + p_g (1 - p_g)) / shots.
     shots, calls, size = 40, 2_000, 10
     estimate = adversarial._sampled_scores(np.random.default_rng(seed), shots)
-    s = np.concatenate([estimate(np.full(size, p_t), p_g) for _ in range(calls)])
+    s = np.concatenate([estimate(pairs_of(np.full(size, p_t), p_g)) for _ in range(calls)])
     mean, var = s.mean(), s.var()
     want_var = (p_t * (1.0 - p_t) + p_g * (1.0 - p_g)) / shots
     var_se = np.sqrt(max(np.mean((s - mean) ** 4) - var**2, 0.0) / s.size)
@@ -539,8 +576,9 @@ def test_sampled_scores_have_the_distribution_of_bernoulli_rounds(p_t, p_g, seed
 
 def test_sampled_scores_accept_probabilities_rounded_past_the_ends():
     estimate = adversarial._sampled_scores(np.random.default_rng(0), 1000)
-    assert estimate(1.0 + 2.2e-16, -1e-17) == 1.0
-    assert np.array_equal(estimate(np.array([-1e-17, 1.0 + 2.2e-16]), 1.0 + 2.2e-16), [-1.0, 0.0])
+    assert estimate(pairs_of(1.0 + 2.2e-16, -1e-17)) == 1.0
+    got = estimate(pairs_of(np.array([-1e-17, 1.0 + 2.2e-16]), 1.0 + 2.2e-16))
+    assert np.array_equal(got, [-1.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -554,8 +592,8 @@ def test_sampled_scores_accept_probabilities_rounded_past_the_ends():
     ],
 )
 def test_sampled_scores_draw_pair_by_pair_in_broadcast_shape(shots, p_t, p_g):
-    got = adversarial._sampled_scores(np.random.default_rng(9), shots)(p_t, p_g)
-    again = adversarial._sampled_scores(np.random.default_rng(9), shots)(p_t, p_g)
+    got = adversarial._sampled_scores(np.random.default_rng(9), shots)(pairs_of(p_t, p_g))
+    again = adversarial._sampled_scores(np.random.default_rng(9), shots)(pairs_of(p_t, p_g))
     want = one_pair_at_a_time_scores(np.random.default_rng(9), shots, p_t, p_g)
     assert np.shape(got) == np.broadcast_shapes(np.shape(p_t), np.shape(p_g))
     assert np.array_equal(got, want)
@@ -565,17 +603,35 @@ def test_sampled_scores_draw_pair_by_pair_in_broadcast_shape(shots, p_t, p_g):
 @pytest.mark.parametrize("h", [1e-5, 0.3, 0.5, 1.0])
 def test_weight_probes_match_labelling_each_shifted_weight_vector(h):
     # Each probe w +- h e_j labelled in full by label_probs; probes may
-    # leave [-1, 1], where the series still holds.
+    # leave [-1, 1], where the series still holds. Against the identity's
+    # rows, one point mass per basis state, a probe holds every label.
     rng = np.random.default_rng(71)
     for n in range(1, 7):
         fast = FastDiscriminator(training_discriminator(n), n)
         w = rng.uniform(-1.0, 1.0, n)
-        got = fast.weight_probes(w, h)
+        got = fast.weight_probes(w, h, fast.probe_weighting(np.eye(2**n)))
         assert got.shape == (n, 2, 2**n)
         for j in range(n):
             step = h * np.eye(n)[j]
             assert_allclose(got[j, 0], fast.label_probs(w + step), rtol=0, atol=1e-12)
             assert_allclose(got[j, 1], fast.label_probs(w - step), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [1e-5, 0.5, 1.0])
+def test_weight_probes_contract_probability_columns(h):
+    # Against two random probability columns, each probe is the label
+    # probabilities at its shifted w times each column.
+    rng = np.random.default_rng(74)
+    for n in range(1, 9):
+        fast = FastDiscriminator(training_discriminator(n), n)
+        w = rng.uniform(-1.0, 1.0, n)
+        probs = rng.dirichlet(np.ones(2**n), size=2).T
+        got = fast.weight_probes(w, h, fast.probe_weighting(probs.T))
+        assert got.shape == (n, 2, 2)
+        for j in range(n):
+            for side, sign in enumerate((1.0, -1.0)):
+                want = fast.label_probs(w + sign * h * np.eye(n)[j]) @ probs
+                assert_allclose(got[j, side], want, rtol=0, atol=1e-12)
 
 
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))

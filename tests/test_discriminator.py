@@ -266,7 +266,7 @@ def test_weight_probes_match_circuit_at_the_shifted_weights():
             fast = FastDiscriminator(cfg, n)
             w = rng.uniform(-0.5, 0.5, n)
             for s in (0.25, 0.5):
-                probes = fast.weight_probes(w, s)
+                probes = fast.weight_probes(w, s, fast.probe_weighting(np.eye(2**n)))
                 assert probes.shape == (n, 2, 2**n)
                 for j in range(n):
                     for side, sign in enumerate((1.0, -1.0)):
