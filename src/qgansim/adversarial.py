@@ -36,11 +36,14 @@ _TRACE_BUDGET_BYTES = 2**30
 # shift-rule probe, 2^n entries each). Fitted to train() timings on a
 # 2-core x86 machine, numpy 2.4 on one BLAS thread: a step took 18-20 us
 # at n = 1 and 2 (2e4 steps in 0.37-0.41 s); a contracted ascent entry
-# 12-19 ns at n = 8 to 12 (an ascent step 74 us at n = 8, 1.9 ms at
-# n = 12), a descent entry 21-43 ns. An n = 12 epoch of the defaults took
-# 43-48 ms, one with n_d = 1 and n_g = 9 about 180 ms. Measured runs from
-# n = 1 to 12 took 0.4-1.2x their model, the least a descent-heavy n = 8
-# run. A run modelled past half an hour is refused; the defaults pass up
+# 12-19 ns at n = 8 to 12, a descent entry 21-43 ns. An exact ascent step
+# reads one difference column instead of the 2n probes, and is still
+# modelled as one that labels them: re-measured, it took 11 us at n = 4,
+# 66 us at n = 8 and 1.9 ms at n = 12. Exact runs at n = 4, 8 and 12, with
+# (n_d, n_g) = (9, 1), (1, 1), (1, 9) and (40, 1), took 0.48-1.64x their
+# model, the least an ascent-heavy n = 4 run, the most n_d = n_g = 1 at
+# n = 4, where the per-epoch metrics, which the model leaves out, weigh
+# most. A run modelled past half an hour is refused; the defaults pass up
 # to n = 18.
 _STEP_NS = 25_000
 _ASCENT_ENTRY_NS = 20
@@ -277,9 +280,14 @@ def _shift_rule(n: int) -> tuple:
     return offsets, weights
 
 
+def _difference_rows(fast, delta, scale) -> np.ndarray:
+    # Rows bit_j * delta * scale, for `weight_differences` (row 0, delta itself, dropped).
+    return fast.probe_weighting((delta * scale,))[1:]
+
+
 def _grad_w_raw(fast, wvec, weighting, estimate, step) -> np.ndarray:
-    # Probes by weight, + before -, each a (target, generated) pair: the
-    # weighting folds the target's and the generated state's probabilities.
+    # Sampled ascent. Probes by weight, + before -, each a (target, generated)
+    # pair: the weighting folds the target's and the generated state's probabilities.
     s = estimate(fast.weight_probes(wvec, step, weighting))
     return (s[:, 0] - s[:, 1]) / (2.0 * step)
 
@@ -316,12 +324,17 @@ def grad_w(
     Along w_j the score has the frequencies pi k / N, 0 < k < N = 2^m2; this
     is its exact slope averaged over [w_j - s, w_j + s], which weighs each
     by sinc(pi k s / N): positive for s in (0, 1], at least 2/pi at s = 1/2.
+    It is read as exact ascent reads it, from one sine-weighted series column
+    against Delta = p_t - p_g folded with the bit matrix
+    (FastDiscriminator.weight_differences), not from 2n probe pairs; sampled
+    ascent keeps the pairs (weight_probes) and their draw order.
     """
     _check_fd_step(fd_step)
     n = _check_instance(theta, w, target)
     fast = FastDiscriminator(cfg, n)
-    weighting = fast.probe_weighting((np.abs(target.amps) ** 2, _gen_amps(n, theta.thetas) ** 2))
-    return _grad_w_raw(fast, w.w, weighting, _exact_scores, fd_step)
+    delta = np.abs(target.amps) ** 2 - _gen_amps(n, theta.thetas) ** 2
+    rows = _difference_rows(fast, delta, 1.0 / (2.0 * fd_step))
+    return fast.weight_differences(w.w, fd_step, rows)
 
 
 def minmax_gap(
@@ -422,11 +435,16 @@ def train(
     Scores inside the game come from one estimator: exact, or with
     shots > 0 the Real frequency of `shots` Bernoulli labelling rounds
     per probability, drawn as one binomial count. It takes (target,
-    generated) pairs of P(Real). Both gradients hand it their probes:
-    theta's shift-rule probes, and the weight probes w +- fd_step e_j of
-    the central difference (see grad_w), labelled contracted: the target's
-    and the generated state's Born probabilities are folded with the bit
-    matrix once an epoch, and each ascent step gives its 2n pairs directly.
+    generated) pairs of P(Real). Descent hands it theta's shift-rule
+    probes. Ascent climbs the central difference of the score at the
+    weight probes w +- fd_step e_j (see grad_w), with the Born
+    probabilities folded with the bit matrix once an epoch. Exact, the
+    estimator is linear, so no pair is needed: Delta = p_t - p_g is folded
+    (scaled by lr_d / (2 fd_step)) and each step reads the difference from
+    one sine-weighted series column against it (weight_differences).
+    Sampled, every probe needs its own probability: the target's and the
+    generated state's are folded, and each step hands the estimator its 2n
+    contracted pairs (weight_probes) in the draw order below.
 
     Draw order with shots > 0, per epoch: the fresh weights, if the last
     decision asked for a restart; each ascent step's probe pairs (by
@@ -467,11 +485,16 @@ def train(
         # The Born probabilities of the target and the generated state hold
         # still for the whole ascent, so they are folded with the bit matrix
         # once; freed before the next generator call.
-        weighting = fast.probe_weighting((t_probs, gen**2))
-        for _ in range(cfg.n_d):
-            gw = _grad_w_raw(fast, wvec, weighting, estimate, cfg.fd_step)
-            wvec = (wvec + cfg.lr_d * gw).clip(-1.0, 1.0)
-        del weighting
+        if cfg.shots == 0:
+            folded = _difference_rows(fast, t_probs - gen**2, cfg.lr_d / (2.0 * cfg.fd_step))
+            for _ in range(cfg.n_d):
+                wvec = (wvec + fast.weight_differences(wvec, cfg.fd_step, folded)).clip(-1.0, 1.0)
+        else:
+            folded = fast.probe_weighting((t_probs, gen**2))
+            for _ in range(cfg.n_d):
+                gw = _grad_w_raw(fast, wvec, folded, estimate, cfg.fd_step)
+                wvec = (wvec + cfg.lr_d * gw).clip(-1.0, 1.0)
+        del folded
         r = fast.label_probs(wvec)
         p_t = t_probs @ r
         # One estimator call: the restart decision's pair (the epoch's state,

@@ -114,12 +114,14 @@ class FastDiscriminator:
     whose coefficients depend only on (cfg, n) and are computed here with
     one FFT. It is Re(sum_k (alpha_k - i beta_k) z^k) on a powers table,
     the running product of z = e^(2 i pi t_x / N): one complex exponential
-    per product, not one cosine and one sine per frequency. `label_probs`
-    and `weight_probes` both read that table. The weight probes come
-    contracted: `weight_probes` returns each probe's label probability
-    against a few distributions, not per basis state, and the
-    distributions enter once, folded with the bit matrix by
-    `probe_weighting`.
+    per product, not one cosine and one sine per frequency. `label_probs`,
+    `weight_probes` and `weight_differences` all read that table, and the
+    distributions they weigh enter once, folded with the bit matrix by
+    `probe_weighting`. Exact ascent needs only the score's central
+    difference: `weight_differences` reads it from one sine-weighted series
+    column against the folded Delta = p_t - p_g. Sampled ascent draws each
+    probe's own probability, so `weight_probes` keeps the (target,
+    generated) pair of every probe w +- s e_j.
     Agreement with the circuit (label_real_probability) is covered by tests.
     """
 
@@ -150,7 +152,7 @@ class FastDiscriminator:
         # With z = e^(omega t), omega = 2 i pi / N: r = a0 + Re(z^k @ coef).
         self._coef = weight * np.fft.fft(readout)[1:]
         self._omega = 2j * np.pi / size
-        self._probe_coefs = (None, None)  # (step, its real series coefficients) last probed
+        self._step_coefs = (None, None)  # (step, its real series coefficients) last probed
         self._last_r = (None, None)  # ((shape, bytes) of w, its read-only r) last labelled
 
     def _powers(self, w: np.ndarray) -> np.ndarray:
@@ -181,7 +183,7 @@ class FastDiscriminator:
         return r
 
     def probe_weighting(self, probs: np.ndarray) -> np.ndarray:
-        """Probability rows folded with the bit matrix, for `weight_probes`.
+        """Probability rows folded with the bit matrix, for the weight probes.
 
         `probs` holds c distributions over the data basis states, one per
         row (shape (c, 2^n)). Returns the (c + n c, 2^n) weighting whose
@@ -195,6 +197,23 @@ class FastDiscriminator:
         np.multiply(self._half_bits.T[:, None, :], 2.0 * rows, out=out[1:])
         return out.reshape(-1, rows.shape[1])
 
+    def _probe_coefs(self, step: float) -> tuple:
+        # Real series coefficients at a probe step, cached per step: the
+        # (2(N-1), 3) columns of r and of both moves, then the difference
+        # column of the two moves, e^(i h) - e^(-i h) = 2i sin(h).
+        if self._step_coefs[0] != step:
+            # e^(+-i h) - 1 = -2 sin^2(h / 2) +- i sin(h), exact at small h.
+            h = self._omega.imag * np.arange(1, self._coef.size + 1) * step / 2.0
+            shift = -2.0 * np.sin(h / 2.0) ** 2 + 1j * np.sin(h)
+            cols = self._coef[:, None] * np.stack(
+                [np.ones_like(shift), shift, shift.conj(), 2j * np.sin(h)], 1
+            )
+            # Re(z^k @ cols) is one real product on the table's float64 view,
+            # (Re z, Im z, Re z^2, ...), with the rows Re cols_k, -Im cols_k.
+            real = np.stack([cols.real, -cols.imag], 1).reshape(-1, 4)
+            self._step_coefs = (step, (real[:, :3].copy(), real[:, 3].copy()))
+        return self._step_coefs[1]
+
     def weight_probes(self, w: np.ndarray, step: float, weighting: np.ndarray) -> np.ndarray:
         """The probes w + step e_j and w - step e_j against c distributions.
 
@@ -207,16 +226,8 @@ class FastDiscriminator:
         bits_j . (move * probs[k]). Probes may leave [-1, 1]; r is
         periodic, the circuit's at any w.
         """
-        if self._probe_coefs[0] != step:
-            # e^(+-i h) - 1 = -2 sin^2(h / 2) +- i sin(h), exact at small h.
-            h = self._omega.imag * np.arange(1, self._coef.size + 1) * step / 2.0
-            shift = -2.0 * np.sin(h / 2.0) ** 2 + 1j * np.sin(h)
-            cols = self._coef[:, None] * np.stack([np.ones_like(shift), shift, shift.conj()], 1)
-            # Re(z^k @ cols) is one real product on the table's float64 view,
-            # (Re z, Im z, Re z^2, ...), with the rows Re cols_k, -Im cols_k.
-            self._probe_coefs = (step, np.stack([cols.real, -cols.imag], 1).reshape(-1, 3))
         # r(t), then the move of each side; the table is freed on return.
-        series = self._powers(w).view(np.float64) @ self._probe_coefs[1]
+        series = self._powers(w).view(np.float64) @ self._probe_coefs(step)[0]
         series[:, 0] += self._a0
         folded = weighting @ series
         n = self._half_bits.shape[1]
@@ -224,6 +235,20 @@ class FastDiscriminator:
         moves = folded[c:, 1:].reshape(n, c, 2).transpose(0, 2, 1)
         # C order: rng.binomial takes another layout's probes several times slower.
         return np.add(folded[:c, 0], moves, out=np.empty((n, 2, c)))
+
+    def weight_differences(self, w: np.ndarray, step: float, rows: np.ndarray) -> np.ndarray:
+        """Central differences r(w + step e_j) - r(w - step e_j), contracted.
+
+        `rows` has shape (c, 2^n); returns rows @ d with shape (c,), where d_x
+        = r(t_x + step/2) - r(t_x - step/2) is how far basis state x moves
+        between the probes w +- step e_j when bit j of x is set. So with
+        rows[j] bit j of each basis state times the score's weighting
+        Delta = p_t - p_g (`probe_weighting((Delta,))[1:]`), entry j is
+        S(w + step e_j) - S(w - step e_j). The difference of the two moves
+        of `weight_probes` is Re(z^k @ coef 2i sin(pi k step / N)): one real
+        column on the powers table's float64 view, no pair per probe.
+        """
+        return rows @ (self._powers(w).view(np.float64) @ self._probe_coefs(step)[1])
 
     def p_real(self, w: np.ndarray, data_amps: np.ndarray) -> float:
         """P(label Real) for the data register in state `data_amps`."""

@@ -634,6 +634,33 @@ def test_weight_probes_contract_probability_columns(h):
                 assert_allclose(got[j, side], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("h", [1e-5, 0.5, 1.0])
+def test_weight_differences_are_the_central_differences_of_the_score(h):
+    # Against a random signed Delta = p_t - p_g, the difference path reads
+    # S(w + h e_j) - S(w - h e_j) from the folded rows bit_j * Delta, as the
+    # full label probabilities at both probes and as the pairs of weight_probes.
+    rng = np.random.default_rng(76)
+    for n in range(1, 9):
+        fast = FastDiscriminator(training_discriminator(n), n)
+        w = rng.uniform(-1.0, 1.0, n)
+        p_t, p_g = rng.dirichlet(np.ones(2**n), size=2)
+        delta = p_t - p_g
+        rows = fast.probe_weighting((delta,))[1:]
+        got = fast.weight_differences(w, h, rows)
+        assert got.shape == (n,)
+        # Another step replaces the cached column.
+        fresh = FastDiscriminator(training_discriminator(n), n)
+        assert np.array_equal(
+            fast.weight_differences(w, h / 2.0, rows), fresh.weight_differences(w, h / 2.0, rows)
+        )
+        want = [
+            (fast.label_probs(w + h * e) - fast.label_probs(w - h * e)) @ delta for e in np.eye(n)
+        ]
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        s = adversarial._exact_scores(fast.weight_probes(w, h, fast.probe_weighting((p_t, p_g))))
+        assert_allclose(got, s[:, 0] - s[:, 1], rtol=0, atol=1e-12)
+
+
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_initial_draw_is_sign_aligned_from_one_uniform_draw(n, seed):
